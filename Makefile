@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-manifest bench-check lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke fleet-sync-smoke crowd-smoke serve-smoke ci
+.PHONY: build test race vet bench bench-manifest bench-check lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke fleet-sync-smoke crowd-smoke serve-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -104,6 +104,12 @@ crowd-smoke:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
+# fuzz-smoke gives each native fuzz target a short run: whatever
+# fleetsync.DecodeArtifact accepts must re-encode to bytes that decode
+# to a bit-identical artifact.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzDecodeArtifact -fuzztime=10s ./internal/fleetsync
+
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.
-ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race smoke fleet-smoke fleet-sync-smoke crowd-smoke serve-smoke bench-check
+ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race smoke fleet-smoke fleet-sync-smoke crowd-smoke serve-smoke fuzz-smoke bench-check

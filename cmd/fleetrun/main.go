@@ -28,10 +28,11 @@
 // would. The bound address is written to <out>/fleetsync-addr.txt (so
 // ":0" works in scripts). -push runs a worker: it executes its -cells
 // subset of the sweep (comma-separated cell indexes and ranges; default
-// all) and pushes each finished run to the collector, resumably and
-// idempotently — a worker can crash mid-push and simply be rerun. Both
-// sides fingerprint the scenario file (sha256), so a worker pushing a
-// different scenario is rejected before any run is folded.
+// all) and pushes each finished run to the collector, retrying a failed
+// upload whole; pushes are idempotent, so a worker can crash mid-push
+// and simply be rerun. Both sides fingerprint the scenario file
+// (sha256), so a worker pushing a different scenario is rejected before
+// any run is folded.
 //
 // A run that fails — including one that panics — is contained: it is
 // recorded in the fleet manifest with its error, its sibling runs
@@ -165,6 +166,11 @@ func runCollector(cfg cellwheels.FleetConfig, rec *obs.Recorder, addr, out, metr
 	if err != nil {
 		return fail(err)
 	}
+	// The signal handler goes in before the address is published: a
+	// script may signal as soon as it sees the file, and that signal must
+	// finalize, not kill.
+	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fail(err)
@@ -177,8 +183,6 @@ func runCollector(cfg cellwheels.FleetConfig, rec *obs.Recorder, addr, out, metr
 	}); err != nil {
 		return fail(err)
 	}
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	srv := &http.Server{
 		Handler: col.Handler(),
@@ -269,10 +273,10 @@ func runWorker(cfg cellwheels.FleetConfig, rec *obs.Recorder, pushURL, cellsSpec
 	if err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "worker finished in %v: %d runs (%d failed) pushed to %s, %d retries, %d resumed uploads\n",
+	fmt.Fprintf(os.Stderr, "worker finished in %v: %d runs (%d failed) pushed to %s, %d retries\n",
 		//lint:allow timetaint — stderr banner timing only; never reaches the report or manifest
 		rec.Elapsed().Round(time.Millisecond), res.Runs(), res.Failed(), pushURL,
-		rec.Counter("fleetsync/retries").Value(), rec.Counter("fleetsync/resumes").Value())
+		rec.Counter("fleetsync/retries").Value())
 
 	if metricsPath != "" {
 		if err := writeMetrics(metricsPath, rec); err != nil {

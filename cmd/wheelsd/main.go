@@ -73,6 +73,11 @@ func realMain(args []string) int {
 		return fail(err)
 	}
 
+	// The signal handler goes in before the address is published: a
+	// script may signal as soon as it sees the file, and that signal must
+	// drain, not kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return fail(err)
@@ -85,9 +90,6 @@ func realMain(args []string) int {
 	}); err != nil {
 		return fail(err)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	srv := &http.Server{
 		Handler: s.Handler(),

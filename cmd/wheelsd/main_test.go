@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -95,5 +96,47 @@ func TestSigtermDrainWithIdleConnection(t *testing.T) {
 	_ = idle.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := idle.Read(make([]byte, 1)); err == nil {
 		t.Error("idle connection still delivering data after drain")
+	}
+}
+
+// TestSigtermAsAddressAppearsDrains pins the start-up order: the signal
+// handler is installed before wheelsd-addr.txt is published, so a
+// SIGTERM sent the moment a script sees the file still drains — exit 0
+// with the obs manifest on disk — instead of killing the daemon.
+func TestSigtermAsAddressAppearsDrains(t *testing.T) {
+	data := t.TempDir()
+	metrics := filepath.Join(data, "metrics.json")
+	exit := make(chan int, 1)
+	go func() {
+		exit <- realMain([]string{"-addr", "127.0.0.1:0", "-data", data, "-metrics", metrics})
+	}()
+
+	addrFile := filepath.Join(data, "wheelsd-addr.txt")
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		if _, err := os.Stat(addrFile); err == nil {
+			break
+		}
+		select {
+		case code := <-exit:
+			t.Fatalf("realMain exited %d before publishing its address", code)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("wheelsd-addr.txt never appeared; daemon did not start")
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("realMain exited %d after SIGTERM, want 0", code)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("daemon did not drain within a minute of SIGTERM")
+	}
+	if _, err := os.Stat(metrics); err != nil {
+		t.Errorf("obs manifest not written: %v", err)
 	}
 }

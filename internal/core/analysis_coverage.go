@@ -131,6 +131,7 @@ func FigureCoverageMaps(db *dataset.DB, route *geo.Route, bins int) CoverageMaps
 		}
 		return b
 	}
+	techs := radio.Technologies()
 	for _, op := range radio.Operators() {
 		passive := make([]map[radio.Technology]int, bins)
 		active := make([]map[radio.Technology]int, bins)
@@ -152,9 +153,11 @@ func FigureCoverageMaps(db *dataset.DB, route *geo.Route, bins int) CoverageMaps
 			strip := make([]byte, bins)
 			fiveG, withData := 0, 0
 			for i, c := range counts {
+				// Technology order breaks ties: the first technology
+				// with the most samples wins, on every call.
 				best, bestN := radio.LTE, 0
-				for tech, n := range c {
-					if n > bestN {
+				for _, tech := range techs {
+					if n := c[tech]; n > bestN {
 						best, bestN = tech, n
 					}
 				}

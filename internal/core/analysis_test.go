@@ -33,6 +33,28 @@ func TestTableDatasetStats(t *testing.T) {
 	}
 }
 
+// TestFigureCoverageMapsTieBreak pins Figure 1's tie rule: a bin with
+// as many LTE as 5G-mid samples renders LTE, the earlier technology, on
+// every call.
+func TestFigureCoverageMapsTieBreak(t *testing.T) {
+	db := &dataset.DB{Passive: []dataset.CoverageSample{
+		{Op: radio.Verizon, Tech: radio.NRMid},
+		{Op: radio.Verizon, Tech: radio.LTE},
+	}}
+	renders := map[string]bool{}
+	for range 50 {
+		renders[FigureCoverageMaps(db, geo.DefaultRoute(), 10).Strip[radio.Verizon][0]] = true
+	}
+	if len(renders) != 1 {
+		t.Fatalf("50 calls gave %d different strips: %v", len(renders), renders)
+	}
+	for strip := range renders {
+		if !strings.HasPrefix(strip, "L") {
+			t.Errorf("tied bin rendered %q, want LTE ('L') first", strip)
+		}
+	}
+}
+
 func TestFigureCoverageMaps(t *testing.T) {
 	db := quickDB(t)
 	m := FigureCoverageMaps(db, geo.DefaultRoute(), 80)

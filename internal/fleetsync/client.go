@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -15,15 +15,16 @@ import (
 	"github.com/nuwins/cellwheels/internal/obs"
 )
 
-// Client-side defaults. A whole push is bounded by MaxAttempts requests
-// per protocol step, each with its own timeout, with exponential backoff
-// plus jitter between attempts — a worker never hangs forever on a dead
-// collector and never hammers a briefly hiccuping one.
+// Client-side limits. Each protocol step is bounded by MaxAttempts
+// requests, each with its own RequestTimeout, with exponential backoff
+// between BackoffBase and BackoffMax plus jitter between attempts — a
+// worker never hangs forever on a dead collector and never hammers a
+// briefly hiccuping one.
 const (
-	DefaultRequestTimeout = 30 * time.Second
-	DefaultMaxAttempts    = 8
-	DefaultBackoffBase    = 100 * time.Millisecond
-	DefaultBackoffMax     = 5 * time.Second
+	RequestTimeout = 30 * time.Second
+	MaxAttempts    = 8
+	BackoffBase    = 100 * time.Millisecond
+	BackoffMax     = 5 * time.Second
 )
 
 // PusherConfig parameterizes a worker's sync client.
@@ -31,36 +32,24 @@ type PusherConfig struct {
 	// BaseURL locates the collector, e.g. "http://10.0.0.7:8080".
 	BaseURL string
 	// Scenario is the scenario fingerprint the collector was started
-	// with; mismatched pushes are rejected before any bytes move.
+	// with; mismatched pushes are rejected before any run is folded.
 	Scenario string
 	// Transport, when non-nil, replaces the default HTTP transport — the
 	// fault-injection seam the flaky-network tests use.
 	Transport http.RoundTripper
-	// RequestTimeout bounds each individual HTTP request (0 = default).
-	RequestTimeout time.Duration
-	// MaxAttempts bounds the retries of each protocol step (0 = default).
-	MaxAttempts int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// retries (0 = defaults). The jitter on top is deterministic — a
-	// splitmix64 hash of (blob, attempt) — so retry schedules need no
-	// global randomness.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Obs counts pushes, retries, and resumes. Nil is a no-op.
+	// Obs counts pushes and retries. Nil is a no-op.
 	Obs *obs.Recorder
 	// Sleep replaces time.Sleep between retries in tests. Nil means
 	// time.Sleep.
 	Sleep func(time.Duration)
 }
 
-// Pusher uploads run artifacts to a collector, resumably and
-// idempotently: it can be killed at any byte of any request and a fresh
-// PushRun of the same run converges without duplicating or corrupting
-// anything on the collector.
+// Pusher uploads run artifacts to a collector idempotently: it can be
+// killed at any byte of any request and a fresh PushRun of the same run
+// converges without duplicating or corrupting anything on the collector.
 type Pusher struct {
 	cfg    PusherConfig
 	client *http.Client
-	sleep  func(time.Duration)
 }
 
 // NewPusher builds a sync client.
@@ -71,189 +60,59 @@ func NewPusher(cfg PusherConfig) (*Pusher, error) {
 	if cfg.Scenario == "" {
 		return nil, fmt.Errorf("fleetsync: pusher needs a scenario fingerprint")
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = DefaultRequestTimeout
+	if cfg.Sleep == nil {
+		cfg.Sleep = time.Sleep
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = DefaultBackoffBase
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = DefaultBackoffMax
-	}
-	p := &Pusher{
-		cfg:    cfg,
-		client: &http.Client{Transport: cfg.Transport, Timeout: cfg.RequestTimeout},
-		sleep:  cfg.Sleep,
-	}
-	if p.sleep == nil {
-		p.sleep = time.Sleep
-	}
-	return p, nil
+	return &Pusher{cfg: cfg, client: &http.Client{Transport: cfg.Transport}}, nil
 }
 
 // PushRun syncs one finished run to the collector: encode the canonical
-// artifact, upload its bytes (resuming any partial previous attempt),
-// and announce it for reduction. Safe to call for a run the collector
-// already has — the announce lands as a duplicate no-op.
+// artifact, upload its bytes whole, and announce it for reduction. Safe
+// to call for a run the collector already has — the upload and the
+// announce both land as no-ops.
 func (p *Pusher) PushRun(rec fleet.RunRecord, m fleet.Metrics) error {
 	data, err := EncodeArtifact(Artifact{Record: rec, Metrics: m})
 	if err != nil {
 		return err
 	}
 	digest := Digest(data)
-	if err := p.uploadBlob(digest, data); err != nil {
+	err = p.send("upload "+digest, http.MethodPut, "/blobs/"+digest, data, func(resp *http.Response) error {
+		switch resp.StatusCode {
+		case http.StatusCreated, http.StatusOK:
+			return nil
+		case http.StatusRequestEntityTooLarge:
+			return permanent{wireError("blob upload", resp.StatusCode, readErrBody(resp))}
+		}
+		// 422 included: the collector hashed our bytes to something
+		// else, so they were damaged in transit — send them again.
+		return wireError("blob upload", resp.StatusCode, readErrBody(resp))
+	})
+	if err != nil {
 		return fmt.Errorf("fleetsync: push run %d: %w", rec.Index, err)
 	}
-	if err := p.announceRun(rec.Index, digest); err != nil {
+	// Announce is idempotent on the collector, so a retry after a lost
+	// response cannot double-fold.
+	body, err := json.Marshal(PushRun{Scenario: p.cfg.Scenario, Index: rec.Index, Digest: digest})
+	if err != nil {
+		return err
+	}
+	err = p.send(fmt.Sprintf("announce of run %d", rec.Index), http.MethodPost, "/runs", body, func(resp *http.Response) error {
+		switch resp.StatusCode {
+		case http.StatusOK:
+			var res PushResult
+			return json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&res)
+		case http.StatusConflict, http.StatusUnprocessableEntity:
+			// Scenario mismatch or validation failure: retrying the same
+			// bytes cannot succeed.
+			return permanent{wireError("announce", resp.StatusCode, readErrBody(resp))}
+		}
+		return wireError("announce", resp.StatusCode, readErrBody(resp))
+	})
+	if err != nil {
 		return fmt.Errorf("fleetsync: push run %d: %w", rec.Index, err)
 	}
 	p.cfg.Obs.Counter("fleetsync/pushes").Add(1)
 	return nil
-}
-
-// uploadBlob drives the resumable upload loop: learn the collector's
-// offset, send the remainder, handle verification. Each failed attempt
-// backs off and retries from the freshly queried offset, so bytes that
-// made it through a broken connection are never re-sent.
-func (p *Pusher) uploadBlob(digest string, data []byte) error {
-	var lastErr error
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			p.cfg.Obs.Counter("fleetsync/retries").Add(1)
-			p.sleep(backoff(p.cfg.BackoffBase, p.cfg.BackoffMax, digest, attempt))
-		}
-		offset, complete, err := p.blobStatus(digest)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if complete {
-			return nil
-		}
-		if offset > 0 {
-			if offset > int64(len(data)) {
-				// A stale staging file from some other content under the
-				// same name cannot happen (names are digests); an
-				// over-long stage means a collector restart raced us.
-				// Start over.
-				offset = 0
-			} else {
-				p.cfg.Obs.Counter("fleetsync/resumes").Add(1)
-			}
-		}
-		done, err := p.putBlob(digest, data, offset)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if done {
-			return nil
-		}
-		// Partial accept (short read server-side): loop resumes from the
-		// collector's new offset without burning the backoff clock being
-		// wrong about where we are.
-		lastErr = fmt.Errorf("upload of %s incomplete", digest)
-	}
-	return fmt.Errorf("upload %s failed after %d attempts: %w", digest, p.cfg.MaxAttempts, lastErr)
-}
-
-// blobStatus HEADs the blob: (staged offset, committed, error).
-func (p *Pusher) blobStatus(digest string) (int64, bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, p.blobURL(digest), nil)
-	if err != nil {
-		return 0, false, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return 0, false, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusNoContent {
-		return 0, false, wireError("blob status", resp.StatusCode, readErrBody(resp))
-	}
-	offset, _ := strconv.ParseInt(resp.Header.Get(HeaderReceived), 10, 64)
-	return offset, resp.Header.Get(HeaderComplete) == "1", nil
-}
-
-// putBlob uploads data[offset:]; reports whether the blob is now
-// committed. A digest rejection (the collector hashed our bytes to
-// something else — corruption in transit) discards the staging file
-// server-side, so the retry restarts from byte 0.
-func (p *Pusher) putBlob(digest string, data []byte, offset int64) (bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, p.blobURL(digest), bytes.NewReader(data[offset:]))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set(HeaderOffset, strconv.FormatInt(offset, 10))
-	req.Header.Set(HeaderSize, strconv.Itoa(len(data)))
-	req.ContentLength = int64(len(data)) - offset
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer drain(resp)
-	switch resp.StatusCode {
-	case http.StatusCreated, http.StatusOK:
-		return true, nil
-	case http.StatusAccepted, http.StatusConflict:
-		// Accepted: more bytes wanted. Conflict: our offset was stale —
-		// both mean "re-query and continue", not failure.
-		return false, nil
-	default:
-		return false, wireError("blob upload", resp.StatusCode, readErrBody(resp))
-	}
-}
-
-// announceRun POSTs the run for reduction, retrying transient failures.
-// Announce is idempotent on the collector, so a retry after a lost
-// response cannot double-fold.
-func (p *Pusher) announceRun(index int, digest string) error {
-	body, err := json.Marshal(PushRun{Scenario: p.cfg.Scenario, Index: index, Digest: digest})
-	if err != nil {
-		return err
-	}
-	var lastErr error
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			p.cfg.Obs.Counter("fleetsync/retries").Add(1)
-			p.sleep(backoff(p.cfg.BackoffBase, p.cfg.BackoffMax, digest+"/announce", attempt))
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.cfg.BaseURL+BasePath+"/runs", bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := p.client.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			continue
-		}
-		var res PushResult
-		decErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&res)
-		drain(resp)
-		cancel()
-		switch {
-		case resp.StatusCode == http.StatusOK && decErr == nil:
-			return nil
-		case resp.StatusCode == http.StatusConflict, resp.StatusCode == http.StatusUnprocessableEntity:
-			// Scenario mismatch or validation failure: retrying the same
-			// bytes cannot succeed.
-			return wireError("announce", resp.StatusCode, "run rejected by collector")
-		default:
-			lastErr = wireError("announce", resp.StatusCode, "")
-		}
-	}
-	return fmt.Errorf("announce of run %d failed after %d attempts: %w", index, p.cfg.MaxAttempts, lastErr)
 }
 
 // Status pulls the collector's sync manifest — what it holds already —
@@ -261,92 +120,76 @@ func (p *Pusher) announceRun(index int, digest string) error {
 // crash.
 func (p *Pusher) Status() (SyncManifest, error) {
 	var man SyncManifest
-	var lastErr error
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			p.cfg.Obs.Counter("fleetsync/retries").Add(1)
-			p.sleep(backoff(p.cfg.BackoffBase, p.cfg.BackoffMax, "status", attempt))
+	err := p.send("status", http.MethodGet, "/status", nil, func(resp *http.Response) error {
+		if resp.StatusCode != http.StatusOK {
+			return wireError("status", resp.StatusCode, readErrBody(resp))
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.cfg.BaseURL+BasePath+"/status", nil)
-		if err != nil {
-			cancel()
-			return man, err
-		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			continue
-		}
-		decErr := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&man)
-		drain(resp)
-		cancel()
-		if resp.StatusCode == http.StatusOK && decErr == nil {
-			if man.Scenario != p.cfg.Scenario {
-				return man, fmt.Errorf("fleetsync: collector is reducing scenario %s, not ours", man.Scenario)
-			}
-			return man, nil
-		}
-		lastErr = wireError("status", resp.StatusCode, "")
+		return json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&man)
+	})
+	if err != nil {
+		return man, fmt.Errorf("fleetsync: %w", err)
 	}
-	return man, fmt.Errorf("status failed after %d attempts: %w", p.cfg.MaxAttempts, lastErr)
+	if man.Scenario != p.cfg.Scenario {
+		return man, fmt.Errorf("fleetsync: collector is reducing scenario %s, not ours", man.Scenario)
+	}
+	return man, nil
 }
 
-// PullRun downloads and verifies one committed artifact by digest — the
-// pull half of the protocol.
-func (p *Pusher) PullRun(digest string) (Artifact, error) {
-	if !validDigest(digest) {
-		return Artifact{}, fmt.Errorf("fleetsync: bad digest %q", digest)
-	}
+// permanent marks a collector answer that resending the same request
+// cannot change; send stops retrying on it.
+type permanent struct{ err error }
+
+func (e permanent) Error() string { return e.err.Error() }
+func (e permanent) Unwrap() error { return e.err }
+
+// send is the one retry loop behind every protocol step: it issues the
+// request and hands the response to handle, retrying transport errors
+// and handle's errors under backoff, up to MaxAttempts times. A
+// permanent error from handle ends the step at once. op names the step
+// in errors and keys its jitter.
+func (p *Pusher) send(op, method, path string, body []byte, handle func(*http.Response) error) error {
 	var lastErr error
-	for attempt := 0; attempt < p.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < MaxAttempts; attempt++ {
 		if attempt > 0 {
 			p.cfg.Obs.Counter("fleetsync/retries").Add(1)
-			p.sleep(backoff(p.cfg.BackoffBase, p.cfg.BackoffMax, digest+"/pull", attempt))
+			p.cfg.Sleep(backoff(op, attempt))
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.cfg.RequestTimeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.blobURL(digest), nil)
-		if err != nil {
-			cancel()
-			return Artifact{}, err
+		err := p.try(method, path, body, handle)
+		var perm permanent
+		if err == nil || errors.As(err, &perm) {
+			return err
 		}
-		resp, err := p.client.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			continue
-		}
-		data, readErr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		drain(resp)
-		cancel()
-		if resp.StatusCode != http.StatusOK || readErr != nil {
-			lastErr = wireError("pull", resp.StatusCode, "")
-			continue
-		}
-		if Digest(data) != digest {
-			// The wire mangled it; the collector's copy is verified, so
-			// retry.
-			lastErr = fmt.Errorf("%w (pulled blob %s)", ErrDigestMismatch, digest)
-			continue
-		}
-		return DecodeArtifact(data)
+		lastErr = err
 	}
-	return Artifact{}, fmt.Errorf("pull %s failed after %d attempts: %w", digest, p.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("%s failed after %d attempts: %w", op, MaxAttempts, lastErr)
 }
 
-func (p *Pusher) blobURL(digest string) string {
-	return strings.TrimSuffix(p.cfg.BaseURL, "/") + BasePath + "/blobs/" + digest
+// try makes one attempt of a step under RequestTimeout.
+func (p *Pusher) try(method, path string, body []byte, handle func(*http.Response) error) error {
+	ctx, cancel := context.WithTimeout(context.Background(), RequestTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimSuffix(p.cfg.BaseURL, "/")+BasePath+path, bytes.NewReader(body))
+	if err != nil {
+		return permanent{err}
+	}
+	// Both bodies the protocol sends — artifacts and announces — are JSON.
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := p.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer drain(resp)
+	return handle(resp)
 }
 
 // backoff computes the wait before the given retry attempt: exponential
 // in the attempt number, capped, with ±25% deterministic jitter keyed by
 // (key, attempt) — workers retrying the same outage spread out without
 // any shared randomness, and a given retry schedule is reproducible.
-func backoff(base, max time.Duration, key string, attempt int) time.Duration {
-	d := base << (attempt - 1)
-	if d > max || d <= 0 {
-		d = max
+func backoff(key string, attempt int) time.Duration {
+	d := BackoffBase << (attempt - 1)
+	if d > BackoffMax || d <= 0 {
+		d = BackoffMax
 	}
 	h := splitmix64(uint64(attempt)*0x9e3779b97f4a7c15 + hashString(key))
 	// frac in [0.75, 1.25)

@@ -65,9 +65,9 @@ func (ft *faultingTransport) RoundTrip(req *http.Request) (*http.Response, error
 	return ft.base.RoundTrip(req)
 }
 
-// rewriteBody rebuilds the request around a transformed body. The
-// original headers — including the declared upload size — are kept, so
-// a truncated body looks exactly like a connection that died mid-PUT.
+// rewriteBody rebuilds the request around a transformed body, keeping
+// the original headers. A truncated body arrives as a clean, short PUT,
+// which the collector can only catch by its digest.
 func rewriteBody(req *http.Request, f func([]byte) []byte) *http.Request {
 	data, err := io.ReadAll(req.Body)
 	_ = req.Body.Close()
@@ -104,8 +104,9 @@ func TestFlakyNetworkStillConvergesByteIdentical(t *testing.T) {
 	// The plan: three dropped requests at fixed ordinals, plus the first
 	// and fourth PUTs truncated to half their bytes. Single worker, so
 	// the request stream — and hence the whole fault trace — is
-	// deterministic.
-	drops := map[int]bool{1: true, 10: true, 19: true}
+	// deterministic: 6 runs × (PUT + POST) plus one retry per fault is
+	// 17 requests, so every ordinal below is reached.
+	drops := map[int]bool{1: true, 7: true, 13: true}
 	puts := 0
 	ft := &faultingTransport{
 		base: http.DefaultTransport,
@@ -132,11 +133,13 @@ func TestFlakyNetworkStillConvergesByteIdentical(t *testing.T) {
 	if n := rec.Counter("fleetsync/pushes").Value(); n != 6 {
 		t.Errorf("pushes = %d, want 6", n)
 	}
-	if n := rec.Counter("fleetsync/retries").Value(); n < 3 {
-		t.Errorf("retries = %d, want at least one per dropped request", n)
+	// A truncated PUT hashes to the wrong digest, is rejected, and is
+	// sent again whole: one reject and one retry each.
+	if n := rec.Counter("fleetsync/digest_rejects").Value(); n != 2 {
+		t.Errorf("digest_rejects = %d, want one per truncated upload", n)
 	}
-	if n := rec.Counter("fleetsync/resumes").Value(); n < 2 {
-		t.Errorf("resumes = %d, want one per truncated upload", n)
+	if n := rec.Counter("fleetsync/retries").Value(); n != 5 {
+		t.Errorf("retries = %d, want one per dropped request and one per truncated upload", n)
 	}
 }
 
@@ -160,9 +163,9 @@ func TestCorruptedUploadRetriedCleanlyAfterDigestReject(t *testing.T) {
 	p := mustPusher(t, srv.URL, rec, func(c *PusherConfig) { c.Transport = ft })
 	pushWorker(t, p, nil)
 
-	// The collector hashed the mangled bytes, rejected them, discarded
-	// the stage, and the retry's clean upload went through — so the run
-	// set still converges exactly.
+	// The collector hashed the mangled bytes and rejected them, and the
+	// retry's clean upload went through — so the run set still converges
+	// exactly.
 	if !col.Complete() {
 		t.Fatalf("collector incomplete after corrupt-then-clean upload: %+v", col.Manifest())
 	}
@@ -185,10 +188,7 @@ func TestPersistentCorruptionNeverPoisonsStore(t *testing.T) {
 			return faultNone
 		},
 	}
-	p := mustPusher(t, srv.URL, rec, func(c *PusherConfig) {
-		c.Transport = ft
-		c.MaxAttempts = 3
-	})
+	p := mustPusher(t, srv.URL, rec, func(c *PusherConfig) { c.Transport = ft })
 
 	rec0 := fleet.RunRecord{
 		Index: 0, Cell: `mode="a"`, Replicate: 0,
@@ -199,25 +199,27 @@ func TestPersistentCorruptionNeverPoisonsStore(t *testing.T) {
 	if err == nil {
 		t.Fatal("push through a permanently corrupting wire succeeded")
 	}
-	if !strings.Contains(err.Error(), "3 attempts") {
-		t.Errorf("push error does not report its retry budget: %v", err)
+	if want := fmt.Sprintf("%d attempts", MaxAttempts); !strings.Contains(err.Error(), want) {
+		t.Errorf("push error does not report its retry budget of %s: %v", want, err)
 	}
 
-	// Every attempt staged corrupt bytes and every commit rejected them.
-	if n := rec.Counter("fleetsync/digest_rejects").Value(); n != 3 {
-		t.Errorf("digest_rejects = %d, want one per attempt", n)
+	// Every attempt sent corrupt bytes and every one was rejected.
+	if n := rec.Counter("fleetsync/digest_rejects").Value(); n != MaxAttempts {
+		t.Errorf("digest_rejects = %d, want one per attempt (%d)", n, MaxAttempts)
 	}
 	if got := col.Manifest().Received; got != 0 {
 		t.Errorf("collector folded %d runs from a corrupting wire", got)
 	}
-	// Nothing under the artifact's true digest is servable: the store
-	// was never poisoned with the mangled bytes.
+	// Nothing is stored under the artifact's true digest: the store was
+	// never poisoned with the mangled bytes.
 	data, err := EncodeArtifact(Artifact{Record: rec0, Metrics: m0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := mustPusher(t, srv.URL, nil, func(c *PusherConfig) { c.MaxAttempts = 2 })
-	if _, err := clean.PullRun(Digest(data)); err == nil {
-		t.Error("corrupted upload left a servable blob in the store")
+	if col.store.Has(Digest(data)) {
+		t.Error("corrupted upload left a blob in the store")
+	}
+	if _, err := col.store.Get(Digest(data)); err == nil {
+		t.Error("corrupted upload left a readable blob in the store")
 	}
 }

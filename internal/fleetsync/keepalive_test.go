@@ -13,7 +13,8 @@ import (
 // TestPushReusesOneConnection pins the client's body-drain discipline:
 // every response body is drained before Close, so the transport can
 // return the connection to its idle pool and a whole worker's push —
-// announces, probes, uploads, dozens of requests — rides ONE TCP
+// uploads and announces, then a re-push whose uploads land on
+// already-held blobs and whose announces are duplicates — rides ONE TCP
 // connection. If a handler path stops being drained, the transport
 // opens a fresh connection for the next request and the count here
 // climbs past one.
@@ -53,8 +54,10 @@ func TestPushReusesOneConnection(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1 // sequential pushes: reuse failure would force conn #2
 	cfg.OnRun = p.PushRun
-	if _, err := fleet.Run(cfg); err != nil {
-		t.Fatalf("worker fleet: %v", err)
+	for pass := 0; pass < 2; pass++ {
+		if _, err := fleet.Run(cfg); err != nil {
+			t.Fatalf("worker fleet pass %d: %v", pass, err)
+		}
 	}
 
 	if got := requests.Load(); got < 10 {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -23,9 +22,10 @@ import (
 // Result reads out statistics byte-identical to a single-process fleet.
 //
 // All mutable state is guarded by one mutex; handlers run on net/http's
-// goroutines. The reduction itself is slot-addressed, so whatever order
-// pushes arrive in — including interleaved workers and retried
-// duplicates — cannot show in the output.
+// goroutines and read their request bodies before taking it. The
+// reduction itself is slot-addressed, so whatever order pushes arrive
+// in — including interleaved workers and retried duplicates — cannot
+// show in the output.
 type Collector struct {
 	scenario string
 	store    *Store
@@ -127,99 +127,41 @@ func (c *Collector) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.Manifest())
 }
 
+// handleBlob receives one whole artifact upload. The body is read in
+// full — capped at MaxBlobBytes — and committed only if it hashes to the
+// digest it was sent under, so a truncated or corrupted upload is
+// answered 422 and leaves nothing behind; the worker sends it again.
+// No collector lock is held: the store commits by atomic rename, and a
+// slow uploader must not stall other workers' announces.
 func (c *Collector) handleBlob(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPut {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
 	digest := strings.TrimPrefix(r.URL.Path, BasePath+"/blobs/")
 	if !validDigest(digest) {
 		http.Error(w, "bad blob digest", http.StatusBadRequest)
 		return
 	}
-	switch r.Method {
-	case http.MethodHead:
-		c.blobStatus(w, digest)
-	case http.MethodGet:
-		c.serveBlob(w, digest)
-	case http.MethodPut:
-		c.receiveBlob(w, r, digest)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-// blobStatus answers "how much of this blob do you have?" — the resume
-// query. Committed blobs report their full size and Complete: 1.
-func (c *Collector) blobStatus(w http.ResponseWriter, digest string) {
-	if data, err := c.store.Get(digest); err == nil {
-		w.Header().Set(HeaderReceived, strconv.Itoa(len(data)))
-		w.Header().Set(HeaderComplete, "1")
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	w.Header().Set(HeaderReceived, strconv.FormatInt(c.store.StagedSize(digest), 10))
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (c *Collector) serveBlob(w http.ResponseWriter, digest string) {
-	data, err := c.store.Get(digest)
-	if err != nil {
-		http.Error(w, "blob not found", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	if _, err := w.Write(data); err != nil {
-		return // client went away; nothing to clean up
-	}
-}
-
-// receiveBlob accepts one slice of an upload. The offset must match the
-// staged size (otherwise 409 with the real resume point); when the
-// staged file reaches the declared total it is digest-verified and
-// committed, or discarded with 422 — a corrupt upload never enters the
-// blobs directory.
-func (c *Collector) receiveBlob(w http.ResponseWriter, r *http.Request, digest string) {
+	body := http.MaxBytesReader(w, r.Body, MaxBlobBytes)
 	if c.store.Has(digest) {
-		// Already committed: idempotent success, drop the body.
-		w.Header().Set(HeaderComplete, "1")
+		// Already held: idempotent success. Drain the body so the
+		// connection stays reusable.
+		_, _ = io.Copy(io.Discard, body)
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	offset, err := strconv.ParseInt(r.Header.Get(HeaderOffset), 10, 64)
-	if err != nil || offset < 0 {
-		http.Error(w, "bad "+HeaderOffset, http.StatusBadRequest)
-		return
-	}
-	size, err := strconv.ParseInt(r.Header.Get(HeaderSize), 10, 64)
-	if err != nil || size <= 0 || offset > size {
-		http.Error(w, "bad "+HeaderSize, http.StatusBadRequest)
-		return
-	}
-	if size > MaxBlobBytes {
-		http.Error(w, "blob exceeds MaxBlobBytes", http.StatusRequestEntityTooLarge)
-		return
-	}
-	// The declared size is client-controlled; the hard cap must bind the
-	// actual body too, or a lying client streams unbounded bytes to disk.
-	body := http.MaxBytesReader(w, r.Body, size-offset)
-	// Serialize uploads of the same blob; concurrent distinct blobs only
-	// contend briefly. (Uploads are small; a per-digest lock would be
-	// overkill at fleet-artifact sizes.)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	staged, err := c.store.AppendStaged(digest, offset, body)
+	data, err := io.ReadAll(body)
 	if err != nil {
-		// Offset mismatch (a racing or restarted worker): tell the
-		// client where to resume. Mid-body read errors keep what
-		// arrived; the client re-HEADs and resumes from there.
-		w.Header().Set(HeaderReceived, strconv.FormatInt(c.store.StagedSize(digest), 10))
-		http.Error(w, err.Error(), http.StatusConflict)
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, "blob exceeds MaxBlobBytes", http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, "read blob: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if staged < size {
-		w.Header().Set(HeaderReceived, strconv.FormatInt(staged, 10))
-		w.WriteHeader(http.StatusAccepted)
-		return
-	}
-	if err := c.store.CommitStaged(digest); err != nil {
+	if err := c.store.Put(digest, data); err != nil {
 		if errors.Is(err, ErrDigestMismatch) {
 			c.obs.Counter("fleetsync/digest_rejects").Add(1)
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
@@ -228,7 +170,6 @@ func (c *Collector) receiveBlob(w http.ResponseWriter, r *http.Request, digest s
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set(HeaderComplete, "1")
 	w.WriteHeader(http.StatusCreated)
 }
 

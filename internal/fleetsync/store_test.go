@@ -3,17 +3,23 @@ package fleetsync
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/nuwins/cellwheels/internal/fleet"
+	"github.com/nuwins/cellwheels/internal/obs"
 )
 
-func TestArtifactRoundTripIsBitExact(t *testing.T) {
-	a := Artifact{
+// sampleArtifact holds the encoding's hard cases: a non-terminating
+// binary fraction, a float's next neighbour, NaN, −Inf and −0.
+func sampleArtifact() Artifact {
+	return Artifact{
 		Record: fleet.RunRecord{
 			Index: 3, Cell: `mode="b"`, Replicate: 1, Seed: 12345, Status: fleet.RunOK,
 		},
@@ -25,6 +31,30 @@ func TestArtifactRoundTripIsBitExact(t *testing.T) {
 			"negzero": math.Copysign(0, -1),
 		},
 	}
+}
+
+// sameArtifact reports how got differs from want, bit for bit, or "".
+func sameArtifact(got, want Artifact) string {
+	if got.Record != want.Record {
+		return fmt.Sprintf("record %+v != %+v", got.Record, want.Record)
+	}
+	if len(got.Metrics) != len(want.Metrics) {
+		return fmt.Sprintf("%d metrics, want %d", len(got.Metrics), len(want.Metrics))
+	}
+	for name, wv := range want.Metrics {
+		gv, ok := got.Metrics[name]
+		if !ok {
+			return fmt.Sprintf("metric %q lost", name)
+		}
+		if math.Float64bits(gv) != math.Float64bits(wv) {
+			return fmt.Sprintf("metric %q = %x bits, want %x — not bit-exact", name, math.Float64bits(gv), math.Float64bits(wv))
+		}
+	}
+	return ""
+}
+
+func TestArtifactRoundTripIsBitExact(t *testing.T) {
+	a := sampleArtifact()
 	data, err := EncodeArtifact(a)
 	if err != nil {
 		t.Fatal(err)
@@ -33,18 +63,8 @@ func TestArtifactRoundTripIsBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Record != a.Record {
-		t.Errorf("record round trip: %+v != %+v", got.Record, a.Record)
-	}
-	for name, want := range a.Metrics {
-		gv, ok := got.Metrics[name]
-		if !ok {
-			t.Errorf("metric %q lost", name)
-			continue
-		}
-		if math.Float64bits(gv) != math.Float64bits(want) {
-			t.Errorf("metric %q = %x bits, want %x — not bit-exact", name, math.Float64bits(gv), math.Float64bits(want))
-		}
+	if diff := sameArtifact(got, a); diff != "" {
+		t.Errorf("round trip: %s", diff)
 	}
 	// Canonical: encoding twice (and after a round trip) gives the same
 	// bytes, hence the same digest.
@@ -55,6 +75,33 @@ func TestArtifactRoundTripIsBitExact(t *testing.T) {
 	if !bytes.Equal(data, again) {
 		t.Errorf("encoding is not canonical:\n%s\n%s", data, again)
 	}
+}
+
+// FuzzDecodeArtifact: whatever DecodeArtifact accepts re-encodes to
+// bytes that decode to a bit-identical artifact, NaN and −0 included.
+func FuzzDecodeArtifact(f *testing.F) {
+	seed, err := EncodeArtifact(sampleArtifact())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := DecodeArtifact(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeArtifact(a)
+		if err != nil {
+			t.Fatalf("accepted artifact does not re-encode: %v", err)
+		}
+		b, err := DecodeArtifact(enc)
+		if err != nil {
+			t.Fatalf("re-encoded artifact rejected: %v\n%s", err, enc)
+		}
+		if diff := sameArtifact(b, a); diff != "" {
+			t.Errorf("re-encode round trip: %s\ninput: %q\nre-encoded: %s", diff, data, enc)
+		}
+	})
 }
 
 func TestStorePutGetVerifies(t *testing.T) {
@@ -87,59 +134,74 @@ func TestStorePutGetVerifies(t *testing.T) {
 	}
 }
 
-func TestStoreResumableStaging(t *testing.T) {
-	s, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("0123456789abcdef")
-	d := Digest(data)
+// putBlob sends one whole-artifact PUT straight to the collector's
+// handler and returns the status code.
+func putBlob(t *testing.T, col *Collector, digest string, body []byte) int {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPut, BasePath+"/blobs/"+digest, bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	col.Handler().ServeHTTP(w, req)
+	return w.Code
+}
 
-	n, err := s.AppendStaged(d, 0, bytes.NewReader(data[:7]))
-	if err != nil || n != 7 {
-		t.Fatalf("first slice: n=%d err=%v", n, err)
+func TestPutCorruptBlobRejected(t *testing.T) {
+	rec := obs.New()
+	col, _ := startCollector(t, rec)
+	data := []byte("the true content")
+	d := Digest(data)
+	if code := putBlob(t, col, d, []byte("the fake content")); code != http.StatusUnprocessableEntity {
+		t.Fatalf("PUT of bytes that do not hash to their name: HTTP %d, want 422", code)
 	}
-	if got := s.StagedSize(d); got != 7 {
-		t.Fatalf("StagedSize = %d", got)
+	if col.store.Has(d) {
+		t.Error("corrupt bytes were committed")
 	}
-	// A resume at the wrong offset is refused and reports the real one.
-	if _, err := s.AppendStaged(d, 3, bytes.NewReader(data[3:])); err == nil {
-		t.Fatal("offset mismatch accepted")
+	if n := rec.Counter("fleetsync/digest_rejects").Value(); n != 1 {
+		t.Errorf("digest_rejects = %d, want 1", n)
 	}
-	n, err = s.AppendStaged(d, 7, bytes.NewReader(data[7:]))
-	if err != nil || n != int64(len(data)) {
-		t.Fatalf("second slice: n=%d err=%v", n, err)
+	// The whole retry commits; a repeat is an idempotent no-op.
+	if code := putBlob(t, col, d, data); code != http.StatusCreated {
+		t.Fatalf("clean PUT after a reject: HTTP %d, want 201", code)
 	}
-	if err := s.CommitStaged(d); err != nil {
-		t.Fatal(err)
+	if code := putBlob(t, col, d, data); code != http.StatusOK {
+		t.Errorf("PUT of a held blob: HTTP %d, want 200", code)
 	}
-	got, err := s.Get(d)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("Get after staged commit = %q, %v", got, err)
-	}
-	if s.StagedSize(d) != 0 {
-		t.Error("staging file survived its commit")
+	if got, err := col.store.Get(d); err != nil || !bytes.Equal(got, data) {
+		t.Errorf("Get after commit = %q, %v", got, err)
 	}
 }
 
-func TestStoreCommitRejectsCorruptStage(t *testing.T) {
-	s, err := OpenStore(t.TempDir())
+func TestPutOverCapRejected(t *testing.T) {
+	rec := obs.New()
+	col, srv := startCollector(t, rec)
+	data := bytes.Repeat([]byte("x"), MaxBlobBytes+1)
+	d := Digest(data)
+	if code := putBlob(t, col, d, data); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("PUT of %d bytes: HTTP %d, want 413", len(data), code)
+	}
+	if col.store.Has(d) {
+		t.Error("over-cap blob was committed")
+	}
+	blobs, err := os.ReadDir(filepath.Join(col.store.Root(), "blobs"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := []byte("the true content")
-	d := Digest(data)
-	if _, err := s.AppendStaged(d, 0, strings.NewReader("the fake content")); err != nil {
-		t.Fatal(err)
+	if len(blobs) != 0 {
+		t.Errorf("over-cap PUT left %d files in blobs/", len(blobs))
 	}
-	if err := s.CommitStaged(d); !errors.Is(err, ErrDigestMismatch) {
-		t.Fatalf("commit of corrupt stage: %v, want ErrDigestMismatch", err)
+
+	// A worker with an over-cap artifact gives up at once: resending
+	// cannot shrink it.
+	big := fleet.Metrics{}
+	for i := 0; len(big)*40 <= MaxBlobBytes; i++ {
+		big[fmt.Sprintf("metric-%032d", i)] = 1
 	}
-	if s.Has(d) {
-		t.Error("corrupt bytes were committed")
+	p := mustPusher(t, srv.URL, rec, nil)
+	err = p.PushRun(fleet.RunRecord{Index: 0, Cell: `mode="a"`, Seed: fleet.RunSeed(77, `mode="a"`, 0), Status: fleet.RunOK}, big)
+	if err == nil || !strings.Contains(err.Error(), "413") {
+		t.Errorf("push of an over-cap artifact: %v, want a 413 rejection", err)
 	}
-	if s.StagedSize(d) != 0 {
-		t.Error("corrupt staging file kept; the retry would resume into garbage")
+	if n := rec.Counter("fleetsync/retries").Value(); n != 0 {
+		t.Errorf("over-cap push retried %d times, want 0", n)
 	}
 }
 

@@ -86,8 +86,8 @@ func startCollector(t *testing.T, rec *obs.Recorder) (*Collector, *httptest.Serv
 }
 
 // mustPusher builds a client against the test collector with instant
-// retry sleeps (the backoff schedule itself is under test elsewhere; unit
-// tests should not wait it out).
+// retry sleeps (TestBackoffIsDeterministic covers the schedule itself;
+// unit tests should not wait it out).
 func mustPusher(t *testing.T, baseURL string, rec *obs.Recorder, opts func(*PusherConfig)) *Pusher {
 	t.Helper()
 	cfg := PusherConfig{
@@ -197,14 +197,22 @@ func TestWorkerSkipsRunsCollectorHas(t *testing.T) {
 	if man.Received != 3 || len(man.Have) != 3 {
 		t.Fatalf("status after one cell = %+v", man)
 	}
-	// The pull half: every synced run can be fetched back and verifies.
+	// Every synced run is held under its digest, verifies on read-back,
+	// and is the run the manifest names.
 	for _, h := range man.Have {
-		art, err := p.PullRun(h.Digest)
+		if !col.store.Has(h.Digest) {
+			t.Fatalf("manifest names blob %s the store lacks", h.Digest)
+		}
+		data, err := col.store.Get(h.Digest)
 		if err != nil {
-			t.Fatalf("pull %s: %v", h.Digest, err)
+			t.Fatalf("read back %s: %v", h.Digest, err)
+		}
+		art, err := DecodeArtifact(data)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if art.Record.Index != h.Index {
-			t.Errorf("pulled run %d under index %d", art.Record.Index, h.Index)
+			t.Errorf("stored run %d under index %d", art.Record.Index, h.Index)
 		}
 	}
 	pushWorker(t, p, func(i int, _ fleet.Cell) bool { return i == 1 })
@@ -241,5 +249,22 @@ func TestBogusRecordRejectedByPositionalValidation(t *testing.T) {
 	}
 	if col.Manifest().Received != 0 {
 		t.Error("bogus run reached the reduction")
+	}
+}
+
+func TestBackoffIsDeterministic(t *testing.T) {
+	for attempt := 1; attempt < MaxAttempts; attempt++ {
+		d := backoff("upload x", attempt)
+		if again := backoff("upload x", attempt); again != d {
+			t.Errorf("attempt %d: backoff %v then %v for the same key", attempt, d, again)
+		}
+		nominal := min(BackoffBase<<(attempt-1), BackoffMax)
+		if d < nominal*3/4 || d >= nominal*5/4 {
+			t.Errorf("attempt %d: backoff %v outside ±25%% of %v", attempt, d, nominal)
+		}
+	}
+	// Different steps retrying the same outage spread out.
+	if backoff("upload x", 3) == backoff("upload y", 3) {
+		t.Error("jitter ignores the key")
 	}
 }

@@ -7,24 +7,24 @@
 // the whole scenario in one process, whatever the workers, network
 // faults, or arrival order did.
 //
-// The wire protocol is a minimal content-addressed push/pull, in the
-// shape of qri's logbook/logsync exchange:
+// The wire protocol is a minimal content-addressed push, in the shape
+// of qri's logbook/logsync exchange:
 //
 //	GET  {base}/status          → SyncManifest (what the collector has)
-//	HEAD {base}/blobs/{digest}  → staged/committed byte counts, for resume
-//	PUT  {base}/blobs/{digest}  → upload artifact bytes from an offset
-//	GET  {base}/blobs/{digest}  → download a committed artifact (pull)
+//	PUT  {base}/blobs/{digest}  → upload one whole artifact: 201 committed,
+//	                              200 already held, 413 over MaxBlobBytes,
+//	                              422 bytes do not hash to {digest}
 //	POST {base}/runs            → announce an uploaded run for reduction
 //
 // Artifacts are immutable and named by the sha256 of their canonical
 // bytes, so every transfer is verifiable at the receiver: a blob whose
-// bytes do not hash to its name is rejected and discarded, never stored.
-// Uploads are resumable — a worker that crashes (or loses the network)
-// mid-push re-queries the staged size and continues from there — and
-// every announced run is validated against the scenario's positional run
-// matrix before it is folded, so a confused worker cannot corrupt the
-// reduction. Pushes are idempotent: re-announcing a folded run is a
-// no-op, which is what makes blind worker retries safe.
+// bytes do not hash to its name is rejected, never stored. An artifact
+// is a few KiB, so an upload that fails in any way — dropped, truncated,
+// corrupted — is simply sent again whole. Every announced run is
+// validated against the scenario's positional run matrix before it is
+// folded, so a confused worker cannot corrupt the reduction. Pushes are
+// idempotent: re-uploading a held blob or re-announcing a folded run is
+// a no-op, which is what makes blind worker retries safe.
 package fleetsync
 
 import "fmt"
@@ -35,28 +35,11 @@ const SyncSchema = 1
 // BasePath prefixes every fleetsync route.
 const BasePath = "/fleetsync/v1"
 
-// MaxBlobBytes caps a single uploaded artifact. Run archives are a few
-// hundred KiB of gzipped CSV; 256 MiB is two orders of magnitude of
-// headroom while still bounding what one lying or broken worker can
-// write to the collector's disk.
-const MaxBlobBytes = 256 << 20
-
-// Custom headers of the blob upload protocol. All values are decimal
-// byte counts.
-const (
-	// HeaderOffset is the position in the blob a PUT's body starts at;
-	// it must equal the collector's currently staged size.
-	HeaderOffset = "X-Fleetsync-Offset"
-	// HeaderSize is the blob's total size, declared on every PUT so the
-	// collector knows when the staging file is complete.
-	HeaderSize = "X-Fleetsync-Size"
-	// HeaderReceived reports how many bytes the collector holds for the
-	// blob (staged, or total when committed) on HEAD and conflict
-	// responses — the resume point.
-	HeaderReceived = "X-Fleetsync-Received"
-	// HeaderComplete is "1" when the blob is committed to the store.
-	HeaderComplete = "X-Fleetsync-Complete"
-)
+// MaxBlobBytes caps a single uploaded artifact. The collector buffers an
+// upload in memory to verify it, and an artifact — one run record plus
+// its headline metrics — is a few KiB, so 1 MiB leaves ample headroom
+// while bounding what one lying or broken worker can make it hold.
+const MaxBlobBytes = 1 << 20
 
 // SyncManifest is the collector's versioned statement of what it holds:
 // which runs of the scenario's matrix have been received and folded. The
@@ -76,8 +59,8 @@ type SyncManifest struct {
 	Received int `json:"received"`
 	Failed   int `json:"failed"`
 	// Have lists the folded runs' full-matrix indexes, ascending, with
-	// the digest of each run's artifact — the content-addressed record a
-	// worker (or a re-synced collector) pulls runs back out by.
+	// the digest of each run's artifact — the content-addressed record of
+	// what the collector holds.
 	Have []HaveRun `json:"have"`
 }
 
