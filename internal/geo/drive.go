@@ -82,6 +82,9 @@ type Drive struct {
 	cfg   DriveConfig
 	rng   *simrand.Source
 
+	// state.Waypoint == route.At(state.Odometer) always holds: NewDrive
+	// sets At(0) and every odometer change recomputes it, so a step that
+	// leaves the odometer where it was keeps the Waypoint as is.
 	state     DriveState
 	dayQuota  unit.Meters
 	speedVar  simrand.OU
@@ -152,10 +155,10 @@ func (d *Drive) Step(dt time.Duration) DriveState {
 
 	d.state.Time = d.state.Time.Add(dt)
 
-	// Urban stop lights: while stopped, speed is zero.
+	// Urban stop lights: while stopped, speed is zero and the odometer,
+	// hence the Waypoint, stays put.
 	if d.state.Time.Before(d.stopUntil) {
 		d.state.Speed = 0
-		d.state.Waypoint = d.route.At(d.state.Odometer)
 		return d.state
 	}
 	region := d.state.Waypoint.Region
@@ -176,6 +179,7 @@ func (d *Drive) Step(dt time.Duration) DriveState {
 		cur = 0
 	}
 	d.state.Speed = unit.MetersPerSecond(cur)
+	prev := d.state.Odometer
 	d.state.Odometer += d.state.Speed.DistanceIn(dt)
 
 	if d.state.Odometer >= d.route.Total() {
@@ -183,6 +187,8 @@ func (d *Drive) Step(dt time.Duration) DriveState {
 		d.state.Done = true
 		d.state.Speed = 0
 	}
-	d.state.Waypoint = d.route.At(d.state.Odometer)
+	if d.state.Odometer != prev {
+		d.state.Waypoint = d.route.At(d.state.Odometer)
+	}
 	return d.state
 }

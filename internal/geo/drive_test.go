@@ -148,6 +148,28 @@ func TestDriveSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestDriveWaypointInvariant pins the invariant Step relies on to skip
+// the route lookup on ticks that do not move the vehicle: the state's
+// Waypoint is always route.At of its odometer, through stop lights, day
+// boundaries and the end of the route.
+func TestDriveWaypointInvariant(t *testing.T) {
+	d := testDrive(t, 12)
+	stopped := 0
+	for i := 0; !d.State().Done; i++ {
+		prev := d.State().Odometer
+		s := d.Step(time.Second)
+		if s.Waypoint != d.route.At(s.Odometer) {
+			t.Fatalf("step %d: Waypoint %+v, want route.At(%v) = %+v", i, s.Waypoint, s.Odometer, d.route.At(s.Odometer))
+		}
+		if s.Odometer == prev {
+			stopped++
+		}
+	}
+	if stopped == 0 {
+		t.Error("no step left the odometer in place; the skip path went unexercised")
+	}
+}
+
 func TestDriveDoneIsSticky(t *testing.T) {
 	d := testDrive(t, 8)
 	for !d.State().Done {

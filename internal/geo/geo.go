@@ -84,8 +84,24 @@ func (z Timezone) UTCOffset() time.Duration {
 	}
 }
 
-// Location returns a fixed-offset *time.Location for the zone.
+// zoneLocations holds each route timezone's fixed-offset location, built
+// once: Location sits on per-tick and per-row paths, and time.FixedZone
+// allocates on every call.
+var zoneLocations = [NumTimezones]*time.Location{
+	Pacific.fixedZone(), Mountain.fixedZone(), Central.fixedZone(), Eastern.fixedZone(),
+}
+
+// Location returns a fixed-offset *time.Location for the zone. A value
+// outside the four zones, as a decoded dataset may carry, gets a zone
+// built on the spot.
 func (z Timezone) Location() *time.Location {
+	if z >= 0 && z < numTimezones {
+		return zoneLocations[z]
+	}
+	return z.fixedZone()
+}
+
+func (z Timezone) fixedZone() *time.Location {
 	return time.FixedZone(z.String(), int(z.UTCOffset().Seconds()))
 }
 
@@ -168,6 +184,7 @@ const (
 // to a position, region class, timezone, and nearest city.
 type Route struct {
 	cities   []City
+	cityVecs []vec3        // unit vector of each city, for nearestCity's pre-pass
 	cumGC    []unit.Meters // cumulative great-circle distance at each city
 	factor   float64       // road distance / great-circle distance
 	total    unit.Meters   // road distance
@@ -194,10 +211,14 @@ func NewRoute(cities []City, roadLength unit.Meters) (*Route, error) {
 		return nil, fmt.Errorf("geo: road length %v below great-circle %v", roadLength, gc)
 	}
 	r := &Route{
-		cities: append([]City(nil), cities...),
-		cumGC:  cum,
-		factor: float64(roadLength) / float64(gc),
-		total:  roadLength,
+		cities:   append([]City(nil), cities...),
+		cityVecs: make([]vec3, len(cities)),
+		cumGC:    cum,
+		factor:   float64(roadLength) / float64(gc),
+		total:    roadLength,
+	}
+	for i, c := range cities {
+		r.cityVecs[i] = unitVec(c.Loc)
 	}
 	r.placeTowns()
 	return r, nil
@@ -268,12 +289,55 @@ func (r *Route) interpolate(odo unit.Meters) (LatLon, int) {
 	}, seg
 }
 
-// nearestCity reports the distance to and index of the closest major city.
+// vec3 is a point on the unit sphere.
+type vec3 struct{ x, y, z float64 }
+
+// unitVec maps a coordinate to its unit vector.
+func unitVec(p LatLon) vec3 {
+	sinLat, cosLat := math.Sincos(p.Lat * math.Pi / 180)
+	sinLon, cosLon := math.Sincos(p.Lon * math.Pi / 180)
+	return vec3{cosLat * cosLon, cosLat * sinLon, sinLat}
+}
+
+// chord2 reports the squared straight-line distance between two unit
+// vectors, which grows strictly with the great-circle distance.
+func (a vec3) chord2(b vec3) float64 {
+	dx, dy, dz := a.x-b.x, a.y-b.y, a.z-b.z
+	return dx*dx + dy*dy + dz*dz
+}
+
+// Tolerances of nearestCity's pre-pass: a city stays a candidate while
+// its squared chord is within this relative margin of the smallest one,
+// plus an absolute margin for a query sitting on a city. Both are many
+// orders of magnitude above the rounding error of chord2 and Haversine.
+const (
+	chordRelTol = 1e-6
+	chordAbsTol = 1e-15
+)
+
+// nearestCity reports the distance to and index of the closest major
+// city: the first city, in index order, with the strictly smallest
+// Haversine distance. A pre-pass over squared chords finds the minimum
+// without trig; squared chord is monotone in great-circle distance, so
+// only cities within rounding tolerance of that minimum can win, and only
+// those are re-measured with Haversine. The result is bit-identical to a
+// full Haversine scan at about one Haversine per call.
 func (r *Route) nearestCity(loc LatLon) (unit.Meters, int) {
+	q := unitVec(loc)
+	minChord := math.Inf(1)
+	for _, v := range r.cityVecs {
+		if c := q.chord2(v); c < minChord {
+			minChord = c
+		}
+	}
+	limit := minChord*(1+chordRelTol) + chordAbsTol
 	best := unit.Meters(math.Inf(1))
 	bestIdx := 0
-	for i, c := range r.cities {
-		if d := Haversine(loc, c.Loc); d < best {
+	for i, v := range r.cityVecs {
+		if q.chord2(v) > limit {
+			continue
+		}
+		if d := Haversine(loc, r.cities[i].Loc); d < best {
 			best, bestIdx = d, i
 		}
 	}

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,6 +74,35 @@ func TestTimezoneOffsets(t *testing.T) {
 		if (z+1).UTCOffset()-z.UTCOffset() != time.Hour {
 			t.Errorf("offset step at %v", z)
 		}
+	}
+}
+
+// TestTimezoneLocationCached pins the cached zone table: each zone's
+// location is the fixed zone it used to build per call, and looking it up
+// allocates nothing.
+func TestTimezoneLocationCached(t *testing.T) {
+	at := time.Date(2022, 8, 10, 12, 0, 0, 0, time.UTC)
+	for z := Pacific; z <= Eastern; z++ {
+		want := time.FixedZone(z.String(), int(z.UTCOffset().Seconds()))
+		got := z.Location()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v.Location() = %#v, want %#v", z, got, want)
+		}
+		gotName, gotOff := at.In(got).Zone()
+		wantName, wantOff := at.In(want).Zone()
+		if gotName != wantName || gotOff != wantOff {
+			t.Errorf("%v: zone %s%+d, want %s%+d", z, gotName, gotOff, wantName, wantOff)
+		}
+		if z.Location() != got {
+			t.Errorf("%v.Location() is rebuilt per call", z)
+		}
+		if avg := testing.AllocsPerRun(100, func() { _ = z.Location() }); avg != 0 {
+			t.Errorf("%v.Location() allocates %.1f objects per call", z, avg)
+		}
+	}
+	bad := Timezone(7)
+	if got, want := bad.Location(), time.FixedZone("Timezone(7)", -4*3600); !reflect.DeepEqual(got, want) {
+		t.Errorf("%v.Location() = %#v, want %#v", bad, got, want)
 	}
 }
 
@@ -257,3 +287,89 @@ func TestOdometerOfEndpoints(t *testing.T) {
 		t.Errorf("Boston projects to %v of %v", got, r.Total())
 	}
 }
+
+// bruteNearestCity is the full Haversine scan nearestCity replaced: the
+// first city, in index order, with the strictly smallest distance.
+func bruteNearestCity(cities []City, loc LatLon) (unit.Meters, int) {
+	best := unit.Meters(math.Inf(1))
+	bestIdx := 0
+	for i, c := range cities {
+		if d := Haversine(loc, c.Loc); d < best {
+			best, bestIdx = d, i
+		}
+	}
+	return best, bestIdx
+}
+
+// TestNearestCityMatchesBruteForce pins the chord pre-pass as exact: along
+// the whole route every 25 m, at every city centre and at every city-pair
+// midpoint (where two cities are equidistant or nearly so), nearestCity
+// picks the brute-force scan's city and returns its distance to the bit.
+func TestNearestCityMatchesBruteForce(t *testing.T) {
+	r := DefaultRoute()
+	check := func(what string, loc LatLon) {
+		t.Helper()
+		wantD, wantI := bruteNearestCity(r.cities, loc)
+		gotD, gotI := r.nearestCity(loc)
+		if gotI != wantI || math.Float64bits(float64(gotD)) != math.Float64bits(float64(wantD)) {
+			t.Fatalf("%s %v: nearestCity = (%v, %d), brute force = (%v, %d)", what, loc, gotD, gotI, wantD, wantI)
+		}
+	}
+	n := 0
+	for odo := unit.Meters(0); odo <= r.Total(); odo += 25 {
+		check("route", r.At(odo).Loc)
+		n++
+	}
+	if n < 228_000 {
+		t.Fatalf("swept %d points, want the full route", n)
+	}
+	for i, a := range r.cities {
+		check("city", a.Loc)
+		for _, b := range r.cities[i+1:] {
+			check("midpoint", LatLon{Lat: (a.Loc.Lat + b.Loc.Lat) / 2, Lon: (a.Loc.Lon + b.Loc.Lon) / 2})
+		}
+	}
+}
+
+// TestNearestCityTiesKeepIndexOrder checks the first-strict-minimum rule
+// on exact ties: two cities at the same place and a query equidistant
+// from two mirrored cities both resolve to the lower index.
+func TestNearestCityTiesKeepIndexOrder(t *testing.T) {
+	cities := []City{
+		{Name: "A", Loc: LatLon{40, -100}},
+		{Name: "B", Loc: LatLon{40, -90}},
+		{Name: "C", Loc: LatLon{40, -90}},
+		{Name: "D", Loc: LatLon{40, -80}},
+	}
+	r, err := NewRoute(cities, 2*Haversine(cities[0].Loc, cities[3].Loc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, loc := range []LatLon{{40, -90}, {41, -90.5}, {40, -95}, {40, -85}} {
+		wantD, wantI := bruteNearestCity(cities, loc)
+		if gotD, gotI := r.nearestCity(loc); gotI != wantI || gotD != wantD {
+			t.Errorf("%v: nearestCity = (%v, %d), brute force = (%v, %d)", loc, gotD, gotI, wantD, wantI)
+		}
+	}
+}
+
+// BenchmarkRouteAt times the per-tick route lookup. One op is 10,000
+// lookups spread evenly over the whole route, so the op covers every
+// segment and is long enough to time at the manifest's few iterations.
+func BenchmarkRouteAt(b *testing.B) {
+	r := DefaultRoute()
+	const lookups = 10_000
+	step := r.Total() / lookups
+	var wp Waypoint
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < lookups; k++ {
+			wp = r.At(unit.Meters(k) * step)
+		}
+	}
+	routeAtSink = wp
+}
+
+// routeAtSink keeps BenchmarkRouteAt's lookups observable.
+var routeAtSink Waypoint

@@ -194,6 +194,9 @@ type UE struct {
 	// per-cell load processes, created lazily
 	loads map[string]*simrand.OU
 
+	// shadow memoizes the shadowing draws of the cells probed lately
+	shadow [shadowMemoSize]shadowEntry
+
 	handovers  []HandoverEvent
 	cellsSeen  map[string]bool
 	state      LinkState
@@ -327,8 +330,44 @@ func (u *UE) rsrpOf(c *deploy.Cell, odo unit.Meters) unit.DBm {
 		return radio.RSRP(c.Tech, d, 0, radio.BeamGain(u.cfg.Op, c.Tech))
 	}
 	bucket := int64(odo / shadowBucket)
-	shadow := unit.DB(hashNormal(c.ID, bucket) * b.ShadowSigma)
+	shadow := unit.DB(u.shadowDraw(c, bucket) * b.ShadowSigma)
 	return radio.RSRP(c.Tech, c.Distance(odo), shadow, radio.BeamGain(u.cfg.Op, c.Tech))
+}
+
+// shadowMemoSize is the number of slots in a UE's shadow memo: well above
+// the cells one handover check probes, so neighbours rarely evict each
+// other. A power of two.
+const shadowMemoSize = 64
+
+// shadowEntry is one slot of the shadow memo: the draw of one cell in one
+// shadowing bucket. A nil cell marks an empty slot.
+type shadowEntry struct {
+	cell   *deploy.Cell
+	bucket int64
+	draw   float64
+}
+
+// shadowSlot maps a cell to its memo slot: its index in the technology's
+// odometer order, offset per technology.
+func shadowSlot(c *deploy.Cell) int {
+	return (c.Index + int(c.Tech)*shadowMemoSize/radio.NumTechnologies) & (shadowMemoSize - 1)
+}
+
+// shadowDraw returns hashNormal(c.ID, bucket) through the UE's
+// direct-mapped memo. The shadowing field is constant within a bucket, so
+// at highway speed ~50 ticks reuse each draw of the serving cell and of
+// every neighbour probed. A slot is chosen by the cell's position in its
+// technology's ordering, so the contiguous cells of one probe window land
+// in distinct slots; the entry keeps its full key (cell, bucket) and a
+// mismatch recomputes and overwrites, so a collision costs one hash and
+// never yields another key's draw. Cells are never modified once their map
+// is built, so the cell pointer stands for its ID.
+func (u *UE) shadowDraw(c *deploy.Cell, bucket int64) float64 {
+	e := &u.shadow[shadowSlot(c)]
+	if e.cell != c || e.bucket != bucket {
+		e.cell, e.bucket, e.draw = c, bucket, hashNormal(c.ID, bucket)
+	}
+	return e.draw
 }
 
 // FNV-1a constants, inlined below so the per-tick shadow-fading draw
