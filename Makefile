@@ -20,19 +20,19 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkCampaignRun -benchtime=1x .
 
 # bench-manifest runs the headline benchmarks (campaign, fleet, crowd
-# step, report, logsync merge, route lookup, UE step) and writes their
-# ns/op and allocs/op to BENCH_0013.json — the machine-readable record CI
+# step, report, logsync merge, route lookup, UE step, deployment maps)
+# and writes their ns/op and allocs/op to BENCH_0014.json — the machine-readable record CI
 # uploads as an artifact and bench-check ratchets against. Older
 # BENCH_NNNN.json files stay checked in as the trajectory record.
 bench-manifest:
-	$(GO) run ./cmd/benchmanifest -o BENCH_0013.json
+	$(GO) run ./cmd/benchmanifest -o BENCH_0014.json
 
 # bench-check is the perf half of the repo's ratchet: rerun the headline
 # benchmarks and fail on a >15% ns/op regression or any allocs/op
 # increase against the checked-in manifest. Intentional changes move the
 # manifest via `make bench-manifest` and commit the result.
 bench-check:
-	$(GO) run ./cmd/benchmanifest -check BENCH_0013.json
+	$(GO) run ./cmd/benchmanifest -check BENCH_0014.json
 
 # lint runs the in-repo determinism & correctness linter (internal/lint)
 # over every package; findings fail the build. Suppress intentional uses
@@ -107,9 +107,11 @@ serve-smoke:
 
 # fuzz-smoke gives each native fuzz target a short run: whatever
 # fleetsync.DecodeArtifact accepts must re-encode to bytes that decode
-# to a bit-identical artifact.
+# to a bit-identical artifact, and whatever serve.ParseJobSpec accepts
+# must re-marshal to the same spec and job ID.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeArtifact -fuzztime=10s ./internal/fleetsync
+	$(GO) test -run=NONE -fuzz=FuzzParseJobSpec -fuzztime=10s ./internal/serve
 
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.

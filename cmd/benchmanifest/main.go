@@ -1,16 +1,16 @@
 // Command benchmanifest runs the repo's headline benchmarks — the
 // campaign engine, the fleet engine, the crowd step, the report
-// assembly, the logsync merge, and the per-tick route lookup and UE step
-// layers — and writes their figures to a machine-readable JSON manifest
-// (BENCH_0013.json in CI). The manifest is what lets a reader compare
-// engine cost across commits without rerunning anything: ns/op and
-// allocs/op per benchmark, stamped with the Go version that produced
-// them.
+// assembly, the logsync merge, the per-tick route lookup and UE step
+// layers, and the deployment-map build — and writes their figures to a
+// machine-readable JSON manifest (BENCH_0014.json in CI). The manifest
+// is what lets a reader compare engine cost across commits without
+// rerunning anything: ns/op and allocs/op per benchmark, stamped with
+// the Go version that produced them.
 //
 // Usage:
 //
-//	benchmanifest [-o BENCH_0013.json] [-benchtime 3x] [-bench regexp]
-//	benchmanifest -check BENCH_0013.json
+//	benchmanifest [-o BENCH_0014.json] [-benchtime 3x] [-bench regexp]
+//	benchmanifest -check BENCH_0014.json
 //
 // With -check, no manifest is written: the benchmarks run fresh (at the
 // manifest's recorded benchtime) and the figures are compared against
@@ -64,10 +64,11 @@ const schema = "cellwheels/bench/v1"
 
 // defaultBench selects the headline benchmarks: whole-campaign cost,
 // fleet orchestration cost, the crowd engine's step, the paper-report
-// assembly, the logsync merge, and two layers of the per-tick kernel
-// (geo's route lookup, ran's UE step) so the trajectory shows which layer
-// moved.
-const defaultBench = "^(BenchmarkCampaignRun|BenchmarkFleetRun|BenchmarkCrowdStep|BenchmarkReport|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkUEStep)$"
+// assembly, the logsync merge, two layers of the per-tick kernel (geo's
+// route lookup, ran's UE step) and the deploy layer's map build (every
+// campaign's largest fixed set-up cost), so the trajectory shows which
+// layer moved.
+const defaultBench = "^(BenchmarkCampaignRun|BenchmarkFleetRun|BenchmarkCrowdStep|BenchmarkReport|BenchmarkLogsyncMerge|BenchmarkRouteAt|BenchmarkUEStep|BenchmarkNewMap)$"
 
 // nsTolerance is the relative ns/op slack -check allows before calling a
 // regression: wall-clock figures are noisy across runs and machines, but
@@ -87,7 +88,7 @@ func allocSlack(old int64) int64 { return old / 1000 }
 
 func main() {
 	var (
-		out       = flag.String("o", "BENCH_0013.json", "output manifest path")
+		out       = flag.String("o", "BENCH_0014.json", "output manifest path")
 		benchtime = flag.String("benchtime", "3x", "go test -benchtime value")
 		bench     = flag.String("bench", defaultBench, "go test -bench regexp")
 		check     = flag.String("check", "", "compare a fresh run against this manifest and exit 1 on regression (writes nothing)")

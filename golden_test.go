@@ -20,10 +20,14 @@ var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden/*.sha
 var goldenCases = []struct {
 	name string
 	cfg  Config
+	// maps also pins the outputs that sample the deployment maps over
+	// the whole route: MeasuredOokla(40) and the coverage GeoJSON files.
+	maps bool
 }{
 	{
 		name: "campaign-seed17-30km",
 		cfg:  Config{Seed: 17, LimitKm: 30, VideoSeconds: 15, GamingSeconds: 10},
+		maps: true,
 	},
 	{
 		name: "crowd-seed1-2km-1e4",
@@ -43,7 +47,7 @@ var goldenCases = []struct {
 func TestGoldenDigests(t *testing.T) {
 	for _, gc := range goldenCases {
 		t.Run(gc.name, func(t *testing.T) {
-			got := goldenDigests(t, gc.cfg)
+			got := goldenDigests(t, gc.cfg, gc.maps)
 			path := filepath.Join("testdata", "golden", gc.name+".sha256")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -66,8 +70,8 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 // goldenDigests runs cfg and renders one "<sha256>  <output>" line per
-// output.
-func goldenDigests(t *testing.T, cfg Config) string {
+// output; with maps it adds the whole-route map outputs.
+func goldenDigests(t *testing.T, cfg Config, maps bool) string {
 	t.Helper()
 	s, err := Run(cfg)
 	if err != nil {
@@ -95,5 +99,24 @@ func goldenDigests(t *testing.T, cfg Config) string {
 		line(name, data)
 	}
 	line("report.txt", []byte(s.Report()))
+	if !maps {
+		return b.String()
+	}
+	line("ookla-measured-40.txt", []byte(s.MeasuredOokla(40)))
+	geoDir := t.TempDir()
+	if err := s.WriteCoverageGeoJSON(geoDir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(geoDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(geoDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		line("geojson/"+e.Name(), data)
+	}
 	return b.String()
 }

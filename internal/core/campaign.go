@@ -285,7 +285,9 @@ func NewCampaign(cfg Config) *Campaign {
 
 	timeline := cfg.SharedTimeline
 	if timeline == nil {
+		stopTimeline := cfg.Obs.StartPhase("timeline")
 		timeline = PrecomputeTimeline(cfg)
+		stopTimeline()
 	}
 
 	c := &Campaign{
@@ -296,7 +298,9 @@ func NewCampaign(cfg Config) *Campaign {
 		timeline: timeline,
 	}
 	for _, op := range cfg.Operators {
+		stopDeploy := cfg.Obs.StartPhase("deploy")
 		m := deploy.NewMap(op, route, rng)
+		stopDeploy()
 		c.maps[op] = m
 
 		// The crowd registry and the demand-driven load backend. Each

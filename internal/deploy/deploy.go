@@ -114,35 +114,35 @@ func meanFragment(t radio.Technology) unit.Meters {
 	}
 }
 
+// regionTable holds each technology's availability probability by region
+// ([urban, suburban, highway]), before timezone scaling. Calibrated to
+// Fig 2a/2d (see DESIGN.md §5). LTE rows stay zero: LTE blankets the
+// route and is never walked.
+var regionTable = [radio.NumOperators][radio.NumTechnologies][3]float64{
+	radio.Verizon: {
+		radio.NRMmWave: {0.55, 0.02, 0.002},
+		radio.NRMid:    {0.35, 0.15, 0.08},
+		radio.NRLow:    {0.30, 0.15, 0.06},
+		radio.LTEA:     {0.75, 0.60, 0.55},
+	},
+	radio.TMobile: {
+		radio.NRMmWave: {0.06, 0.005, 0},
+		radio.NRMid:    {0.60, 0.45, 0.38},
+		radio.NRLow:    {0.70, 0.60, 0.50},
+		radio.LTEA:     {0.60, 0.60, 0.60},
+	},
+	radio.ATT: {
+		radio.NRMmWave: {0.12, 0, 0},
+		radio.NRMid:    {0.15, 0.04, 0.01},
+		radio.NRLow:    {0.35, 0.25, 0.15},
+		radio.LTEA:     {0.80, 0.75, 0.72},
+	},
+}
+
 // regionBase is the availability probability of a technology by region,
-// before timezone scaling. Calibrated to Fig 2a/2d (see DESIGN.md §5).
+// before timezone scaling.
 func regionBase(op radio.Operator, t radio.Technology, r geo.Region) float64 {
-	type key struct {
-		op radio.Operator
-		t  radio.Technology
-	}
-	// [urban, suburban, highway]
-	table := map[key][3]float64{
-		{radio.Verizon, radio.NRMmWave}: {0.55, 0.02, 0.002},
-		{radio.Verizon, radio.NRMid}:    {0.35, 0.15, 0.08},
-		{radio.Verizon, radio.NRLow}:    {0.30, 0.15, 0.06},
-		{radio.Verizon, radio.LTEA}:     {0.75, 0.60, 0.55},
-
-		{radio.TMobile, radio.NRMmWave}: {0.06, 0.005, 0},
-		{radio.TMobile, radio.NRMid}:    {0.60, 0.45, 0.38},
-		{radio.TMobile, radio.NRLow}:    {0.70, 0.60, 0.50},
-		{radio.TMobile, radio.LTEA}:     {0.60, 0.60, 0.60},
-
-		{radio.ATT, radio.NRMmWave}: {0.12, 0, 0},
-		{radio.ATT, radio.NRMid}:    {0.15, 0.04, 0.01},
-		{radio.ATT, radio.NRLow}:    {0.35, 0.25, 0.15},
-		{radio.ATT, radio.LTEA}:     {0.80, 0.75, 0.72},
-	}
-	v, ok := table[key{op, t}]
-	if !ok {
-		return 0
-	}
-	return v[r]
+	return regionTable[op][t][r]
 }
 
 // tzFactor scales availability by timezone, reproducing Fig 2c's regional
@@ -167,10 +167,14 @@ func tzFactor(op radio.Operator, t radio.Technology, z geo.Timezone) float64 {
 }
 
 // availProb is the stationary coverage probability at a waypoint.
-func availProb(op radio.Operator, t radio.Technology, wp geo.Waypoint) float64 {
+func availProb(op radio.Operator, t radio.Technology, wp *geo.Waypoint) float64 {
 	p := regionBase(op, t, wp.Region) * tzFactor(op, t, wp.Timezone)
 	return unit.Clamp(p, 0, 0.98)
 }
+
+// coverageTechs are the technologies whose coverage is a fragment
+// process; LTE blankets the route.
+var coverageTechs = [...]radio.Technology{radio.LTEA, radio.NRLow, radio.NRMid, radio.NRMmWave}
 
 // NewMap generates one operator's deployment over a route.
 func NewMap(op radio.Operator, route *geo.Route, rng *simrand.Source) *Map {
@@ -180,52 +184,76 @@ func NewMap(op radio.Operator, route *geo.Route, rng *simrand.Source) *Map {
 	// LTE blankets the route.
 	m.fragments[radio.LTE] = []Fragment{{Tech: radio.LTE, Start: 0, End: route.Total()}}
 
-	for _, t := range []radio.Technology{radio.LTEA, radio.NRLow, radio.NRMid, radio.NRMmWave} {
-		m.fragments[t] = m.walkCoverage(t, src.Fork("frag/"+t.String()))
-	}
+	m.walkCoverage(src)
 	for _, t := range radio.Technologies() {
 		m.cells[t] = m.placeCells(t, src.Fork("cells/"+t.String()))
 	}
 	return m
 }
 
-// walkCoverage runs the two-state Markov chain along the route.
-func (m *Map) walkCoverage(t radio.Technology, src *simrand.Source) []Fragment {
-	var frags []Fragment
-	covered := false
-	var start unit.Meters
-	meanCov := float64(meanFragment(t))
-	step := float64(stepSize)
+// chain is one technology's two-state coverage Markov chain.
+type chain struct {
+	tech    radio.Technology
+	src     *simrand.Source
+	meanCov float64
+	covered bool
+	start   unit.Meters
+	frags   []Fragment
+}
 
-	for odo := unit.Meters(0); odo <= m.route.Total(); odo += stepSize {
-		p := availProb(m.Op, t, m.route.At(odo))
-		var next bool
-		if covered {
-			// Leave with rate 1/meanCov per meter.
-			next = !src.Bool(step / meanCov)
+// step advances the chain by one stepSize at odo, where the stationary
+// coverage probability is p.
+func (c *chain) step(odo unit.Meters, p float64) {
+	step := float64(stepSize)
+	var next bool
+	if c.covered {
+		// Leave with rate 1/meanCov per meter.
+		next = !c.src.Bool(step / c.meanCov)
+	} else {
+		if p <= 0 {
+			next = false
+		} else if p >= 0.98 {
+			next = true
 		} else {
-			if p <= 0 {
-				next = false
-			} else if p >= 0.98 {
-				next = true
-			} else {
-				// Enter with the gap rate that yields stationary p.
-				meanGap := meanCov * (1 - p) / p
-				next = src.Bool(step / meanGap)
-			}
+			// Enter with the gap rate that yields stationary p.
+			meanGap := c.meanCov * (1 - p) / p
+			next = c.src.Bool(step / meanGap)
 		}
-		if next && !covered {
-			start = odo
-		}
-		if !next && covered {
-			frags = append(frags, Fragment{Tech: t, Start: start, End: odo})
-		}
-		covered = next
 	}
-	if covered {
-		frags = append(frags, Fragment{Tech: t, Start: start, End: m.route.Total()})
+	if next && !c.covered {
+		c.start = odo
 	}
-	return frags
+	if !next && c.covered {
+		c.frags = append(c.frags, Fragment{Tech: c.tech, Start: c.start, End: odo})
+	}
+	c.covered = next
+}
+
+// walkCoverage runs every fragment technology's chain along the route in
+// one pass, with one Route.At per step shared by all four chains. Each
+// chain draws only from its own path-named fork ("frag/<tech>") and
+// makes the same draws at the same steps as a walk of that chain alone,
+// so the fragments are bit-identical to four separate walks.
+func (m *Map) walkCoverage(src *simrand.Source) {
+	var chains [len(coverageTechs)]chain
+	for i, t := range coverageTechs {
+		chains[i] = chain{tech: t, src: src.Fork("frag/" + t.String()), meanCov: float64(meanFragment(t))}
+	}
+	total := m.route.Total()
+	for odo := unit.Meters(0); odo <= total; odo += stepSize {
+		wp := m.route.At(odo)
+		for i := range chains {
+			c := &chains[i]
+			c.step(odo, availProb(m.Op, c.tech, &wp))
+		}
+	}
+	for i := range chains {
+		c := &chains[i]
+		if c.covered {
+			c.frags = append(c.frags, Fragment{Tech: c.tech, Start: c.start, End: total})
+		}
+		m.fragments[c.tech] = c.frags
+	}
 }
 
 // cellSpacing is the multiple of cell radius between adjacent sites.
@@ -295,7 +323,7 @@ func loadMean(r geo.Region, src *simrand.Source) float64 {
 // the crowd's attach path.
 func (m *Map) Available(odo unit.Meters) TechSet {
 	s := TechSet(0).With(radio.LTE)
-	for _, t := range []radio.Technology{radio.LTEA, radio.NRLow, radio.NRMid, radio.NRMmWave} {
+	for _, t := range coverageTechs {
 		frags := m.fragments[t]
 		// Inlined sort.Search(len(frags), End > odo): the closure would
 		// capture odo and heap-allocate on every per-tick call.
@@ -322,7 +350,7 @@ func (m *Map) Available(odo unit.Meters) TechSet {
 func (m *Map) AvailableWithin(odo, window unit.Meters) TechSet {
 	s := TechSet(0).With(radio.LTE)
 	lo, hi := odo-window, odo+window
-	for _, t := range []radio.Technology{radio.LTEA, radio.NRLow, radio.NRMid, radio.NRMmWave} {
+	for _, t := range coverageTechs {
 		for _, f := range m.fragments[t] {
 			if f.End < lo {
 				continue

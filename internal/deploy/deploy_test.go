@@ -301,3 +301,35 @@ func TestAvailableConsistentWithFragments(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNewMap is the deploy layer's set-up cost: one op builds the
+// three operators' full-route maps, as every campaign does.
+func BenchmarkNewMap(b *testing.B) {
+	route := geo.DefaultRoute()
+	var m *Map
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := simrand.New(1)
+		for _, op := range radio.Operators() {
+			m = NewMap(op, route, rng)
+		}
+	}
+	newMapSink = m
+}
+
+// newMapSink keeps BenchmarkNewMap's maps observable.
+var newMapSink *Map
+
+// TestNewMapAllocs pins the map build to a few allocations per placed
+// cell: the coverage walk itself must not allocate per step.
+func TestNewMapAllocs(t *testing.T) {
+	route := geo.DefaultRoute()
+	var cells int
+	allocs := testing.AllocsPerRun(2, func() {
+		cells = NewMap(radio.Verizon, route, simrand.New(1)).TotalCells()
+	})
+	if limit := float64(4*cells + 256); allocs > limit {
+		t.Errorf("NewMap allocates %.0f times for %d cells, want <= %.0f", allocs, cells, limit)
+	}
+}

@@ -108,6 +108,11 @@ func validateSpec(spec *JobSpec) error {
 		if err := spec.Scenario.Validate(); err != nil {
 			return err
 		}
+		// "sweep":[] and no sweep are one scenario; keep one spelling so
+		// the parsed spec survives a re-marshal (sweep is omitempty).
+		if len(spec.Scenario.Sweep) == 0 {
+			spec.Scenario.Sweep = nil
+		}
 		if spec.Kind == KindCollect && spec.Fingerprint == "" {
 			canonical, err := json.Marshal(spec.Scenario)
 			if err != nil {

@@ -101,3 +101,41 @@ func TestObsManifestCountsMatchDataset(t *testing.T) {
 		}
 	}
 }
+
+// TestObsManifestSetupPhases checks that campaign set-up shows in the
+// manifest: the deployment maps under "deploy", and the drive schedule
+// under "timeline" only when the run builds one itself rather than
+// replaying a shared one.
+func TestObsManifestSetupPhases(t *testing.T) {
+	cfg := Config{Seed: 5, LimitKm: 2, SkipApps: true}
+	phases := func(c Config) map[string]float64 {
+		t.Helper()
+		rec := obs.New()
+		c.Obs = rec
+		if _, err := Run(c); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Manifest().PhaseMS
+	}
+
+	own := phases(cfg)
+	for _, phase := range []string{"deploy", "timeline"} {
+		if _, ok := own[phase]; !ok {
+			t.Errorf("manifest missing phase %q (have %v)", phase, own)
+		}
+	}
+
+	tl, err := PrecomputeTimeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := cfg
+	shared.SharedTimeline = tl
+	replayed := phases(shared)
+	if _, ok := replayed["deploy"]; !ok {
+		t.Errorf("shared-timeline run missing phase \"deploy\" (have %v)", replayed)
+	}
+	if _, ok := replayed["timeline"]; ok {
+		t.Errorf("shared-timeline run records a \"timeline\" phase it did not build")
+	}
+}
