@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-manifest bench-check lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke fleet-sync-smoke crowd-smoke serve-smoke fuzz-smoke ci
+.PHONY: build test race vet bench bench-manifest bench-check lint lint-baseline lint-sarif lint-fixtures lint-inject-smoke smoke fleet-smoke crowd-smoke serve-smoke fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -81,14 +81,6 @@ smoke:
 fleet-smoke:
 	$(GO) run ./cmd/fleetrun -scenario testdata/fleet-smoke.json -workers 2 -out fleet-out
 
-# fleet-sync-smoke runs a distributed fleet over loopback through the
-# real fleetrun binary: a -serve collector fed by two -push workers, the
-# merged report and manifest diffed byte-for-byte against a
-# single-process run of the same scenario.
-# fleet-sync-out/collector/fleet-manifest.json is the CI artifact.
-fleet-sync-smoke:
-	./scripts/fleet_sync_smoke.sh
-
 # crowd-smoke drives a 10⁴-UE metro-scale crowd through the real
 # drivetest CLI path — registry construction, event wheel, demand-driven
 # load, and in-run crowd measurements — over a short route.
@@ -97,11 +89,12 @@ crowd-smoke:
 	$(GO) run ./cmd/drivetest -seed 1 -limit-km 10 -crowd 10000 -crowd-samples 4 -load-model demand -skip-apps -out crowd-dataset.json -metrics crowd-manifest.json
 
 # serve-smoke runs the wheelsd daemon end to end over loopback: a
-# campaign job, a fleet job, and a collect job (fed by real fleetrun
-# -push workers through the daemon's /fleetsync/v1 mount) are submitted
-# via curl and their downloaded artifacts byte-diffed against direct
-# drivetest/fleetrun runs; a final SIGTERM mid-job pins the graceful
-# drain. serve-out/wheelsd-manifest.json is the CI artifact.
+# campaign job, a fleet job, and a collect job (fed by two real fleetrun
+# -push workers, one sweep cell each, through the daemon's /fleetsync/v1
+# mount) are submitted via curl and their downloaded artifacts
+# byte-diffed against direct drivetest/fleetrun runs; a final SIGTERM
+# mid-job pins the graceful drain. serve-out/wheelsd-manifest.json and
+# serve-out/collect-fleet-manifest.json are the CI artifacts.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -115,4 +108,4 @@ fuzz-smoke:
 
 # lint-sarif runs before the lint gates so the artifact exists for CI
 # upload even when lint fails the build.
-ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race smoke fleet-smoke fleet-sync-smoke crowd-smoke serve-smoke fuzz-smoke bench-check
+ci: vet build lint-sarif lint lint-baseline lint-inject-smoke race smoke fleet-smoke crowd-smoke serve-smoke fuzz-smoke bench-check

@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +14,8 @@ import (
 	"time"
 
 	"github.com/nuwins/cellwheels/internal/fleet"
+	"github.com/nuwins/cellwheels/internal/fleetsync"
+	"github.com/nuwins/cellwheels/internal/serve"
 )
 
 // smallScenario is a 3-run (1 cell × 3 replicates) fleet small enough
@@ -127,9 +133,6 @@ func TestFleetrunUsageErrors(t *testing.T) {
 	}
 	dir := t.TempDir()
 	scenario := writeScenario(t, dir)
-	if code := realMain([]string{"-scenario", scenario, "-serve", ":0", "-push", "http://x"}); code != 2 {
-		t.Errorf("-serve with -push: exit %d, want 2", code)
-	}
 	if code := realMain([]string{"-scenario", scenario, "-cells", "0"}); code != 2 {
 		t.Errorf("-cells without -push: exit %d, want 2", code)
 	}
@@ -175,23 +178,11 @@ const sweepScenario = `{
   "sweep": [{"field": "disable_edge", "values": [false, true]}]
 }`
 
-func waitForAddr(t *testing.T, path string) string {
-	t.Helper()
-	for i := 0; i < 1000; i++ {
-		data, err := os.ReadFile(path)
-		if err == nil && len(bytes.TrimSpace(data)) > 0 {
-			return string(bytes.TrimSpace(data))
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("collector never published fleetsync-addr.txt")
-	return ""
-}
-
 // TestFleetrunDistributedMatchesSingleProcess is the CLI-level pin of
-// the fleetsync contract: a -serve collector fed by two -push workers
-// over loopback writes the same report and manifest, byte for byte, as
-// one local fleetrun of the same scenario.
+// the fleetsync contract: a wheelsd collect job fed by two -push
+// workers over loopback writes the same report and manifest, byte for
+// byte, as one local fleetrun of the same scenario — and a worker
+// holding a different scenario is turned away before anything folds.
 func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.json")
@@ -204,20 +195,62 @@ func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 		t.Fatalf("single-process run: exit %d", code)
 	}
 
-	collected := filepath.Join(dir, "collected")
-	serveDone := make(chan int, 1)
-	go func() {
-		serveDone <- realMain([]string{"-scenario", path, "-serve", "127.0.0.1:0", "-out", collected})
-	}()
-	url := "http://" + waitForAddr(t, filepath.Join(collected, "fleetsync-addr.txt"))
-	if code := realMain([]string{"-scenario", path, "-push", url, "-cells", "0"}); code != 0 {
-		t.Fatalf("worker for cell 0: exit %d", code)
+	daemon, err := serve.New(serve.Config{DataDir: filepath.Join(dir, "daemon"), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := realMain([]string{"-scenario", path, "-push", url, "-cells", "1"}); code != 0 {
-		t.Fatalf("worker for cell 1: exit %d", code)
+	ts := httptest.NewServer(daemon.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		if err := daemon.Shutdown(context.Background()); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
+	// The collector gets the scenario re-indented: the fingerprint
+	// follows the parsed scenario, not the bytes of any one file.
+	var scenario bytes.Buffer
+	if err := json.Indent(&scenario, []byte(sweepScenario), "", "\t"); err != nil {
+		t.Fatal(err)
 	}
-	if code := <-serveDone; code != 0 {
-		t.Fatalf("collector: exit %d", code)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"collect","scenario":`+scenario.String()+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job serve.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit collect job: status %d, %v", resp.StatusCode, err)
+	}
+
+	stranger := filepath.Join(dir, "stranger.json")
+	if err := os.WriteFile(stranger, []byte(strings.Replace(sweepScenario, `"master_seed": 5`, `"master_seed": 6`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var code int
+	stderr := captureStderr(t, func() {
+		code = realMain([]string{"-scenario", stranger, "-push", ts.URL})
+	})
+	if code != 1 || !strings.Contains(stderr, "collector is reducing scenario") {
+		t.Fatalf("worker with another master_seed: exit %d, want 1 at the status check:\n%s", code, stderr)
+	}
+	var man fleetsync.SyncManifest
+	getJSON(t, ts.URL+fleetsync.BasePath+"/status", &man)
+	if man.Received != 0 {
+		t.Fatalf("collector folded %d runs from a mismatched worker", man.Received)
+	}
+
+	for _, cells := range []string{"0", "1"} {
+		if code := realMain([]string{"-scenario", path, "-push", ts.URL, "-cells", cells}); code != 0 {
+			t.Fatalf("worker for cell %s: exit %d", cells, code)
+		}
+	}
+	for deadline := time.Now().Add(time.Minute); job.State != serve.StateDone; time.Sleep(20 * time.Millisecond) {
+		if job.State == serve.StateFailed || time.Now().After(deadline) {
+			t.Fatalf("collect job ended %s: %s", job.State, job.Error)
+		}
+		getJSON(t, ts.URL+"/v1/jobs/"+job.ID, &job)
 	}
 
 	for _, name := range []string{"fleet-report.txt", "fleet-manifest.json"} {
@@ -225,13 +258,31 @@ func TestFleetrunDistributedMatchesSingleProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(collected, name))
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + job.ID + "/artifacts/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("distributed %s differs from single-process run:\n--- got ---\n%s--- want ---\n%s", name, got, want)
 		}
+	}
+}
+
+// getJSON decodes one GET response body into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
 }
 

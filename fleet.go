@@ -2,6 +2,7 @@ package cellwheels
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -129,27 +130,41 @@ func (r *FleetResult) WriteManifest(w io.Writer) error {
 // running anything: the same early checks RunFleet performs before any
 // campaign starts. Services use it to refuse a bad job at submission.
 func (cfg FleetConfig) Validate() error {
+	base := cfg.base()
+	if err := base.Validate(); err != nil {
+		return err
+	}
+	_, _, err := expandSweep(cfg.Sweep, &base)
+	return err
+}
+
+// Fingerprint identifies the run matrix a fleetsync collector reduces
+// and its workers push into: the sha256 of the scenario's JSON form, so
+// any formatting or key order of the same scenario — and "sweep":[]
+// versus no sweep — agree. Workers and ArchiveDir are left out: they
+// say how one host executes its runs, not which runs the fleet holds.
+// Empty if the scenario does not marshal (a sweep value that is not
+// JSON), which collectors and pushers refuse.
+func (cfg FleetConfig) Fingerprint() string {
+	cfg.Workers = 0
+	cfg.ArchiveDir = ""
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		return ""
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(raw))
+}
+
+// base is the campaign config every run starts from, stripped of what
+// fleets set per run (seed, recorder) and of a precomputed timeline: it
+// is seed-specific and fleet runs fork their own seeds, so it could
+// never match; dropping it beats failing every run on the guard.
+func (cfg FleetConfig) base() Config {
 	base := cfg.Base
 	base.Seed = 0
 	base.Obs = nil
 	base.SharedTimeline = nil
-	if err := base.Validate(); err != nil {
-		return err
-	}
-	axes := make([]fleet.Axis, len(cfg.Sweep))
-	for i, a := range cfg.Sweep {
-		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
-	}
-	cells, err := fleet.Expand(axes)
-	if err != nil {
-		return fmt.Errorf("cellwheels: fleet: %w", err)
-	}
-	for _, cell := range cells {
-		if _, err := applyFleetOverrides(base, cell.Overrides); err != nil {
-			return fmt.Errorf("cellwheels: fleet: cell %s: %w", cell.Label(), err)
-		}
-	}
-	return nil
+	return base
 }
 
 // RunFleet executes many campaigns as one deterministic job: the sweep
@@ -160,29 +175,13 @@ func (cfg FleetConfig) Validate() error {
 // individual run failures (including panics) are contained, recorded in
 // the manifest, and do not stop sibling runs — check FleetResult.Failed.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	base := cfg.Base
-	base.Seed = 0
-	base.Obs = nil
-	// A precomputed timeline is seed-specific and fleet runs fork their
-	// own seeds, so a base timeline could never match; drop it rather
-	// than fail every run on the fingerprint guard.
-	base.SharedTimeline = nil
-
-	axes := make([]fleet.Axis, len(cfg.Sweep))
-	for i, a := range cfg.Sweep {
-		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
-	}
+	base := cfg.base()
 	// Validate every cell's overrides before any campaign runs: a
 	// typo'd field name should fail the fleet fast, not produce a
 	// manifest full of identical failures.
-	cells, err := fleet.Expand(axes)
+	axes, _, err := expandSweep(cfg.Sweep, &base)
 	if err != nil {
-		return nil, fmt.Errorf("cellwheels: fleet: %w", err)
-	}
-	for _, cell := range cells {
-		if _, err := applyFleetOverrides(base, cell.Overrides); err != nil {
-			return nil, fmt.Errorf("cellwheels: fleet: cell %s: %w", cell.Label(), err)
-		}
+		return nil, err
 	}
 	if cfg.ArchiveDir != "" {
 		if err := os.MkdirAll(cfg.ArchiveDir, 0o755); err != nil {
@@ -261,9 +260,9 @@ func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 // seeds and the campaign metric order, so runs executed by remote workers
 // fold into a Result byte-identical to RunFleet's over the same scenario.
 func FleetReducer(cfg FleetConfig) (*fleet.Reducer, error) {
-	axes := make([]fleet.Axis, len(cfg.Sweep))
-	for i, a := range cfg.Sweep {
-		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
+	axes, _, err := expandSweep(cfg.Sweep, nil)
+	if err != nil {
+		return nil, err
 	}
 	red, err := fleet.NewReducer(cfg.MasterSeed, cfg.Replicates, axes, nil, fleetMetricOrder())
 	if err != nil {
@@ -276,19 +275,38 @@ func FleetReducer(cfg FleetConfig) (*fleet.Reducer, error) {
 // sweep order — without running anything. Worker cell subsets (fleetrun
 // -cells) are validated and reported against this list.
 func FleetCells(cfg FleetConfig) ([]string, error) {
-	axes := make([]fleet.Axis, len(cfg.Sweep))
-	for i, a := range cfg.Sweep {
-		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
-	}
-	cells, err := fleet.Expand(axes)
+	_, cells, err := expandSweep(cfg.Sweep, nil)
 	if err != nil {
-		return nil, fmt.Errorf("cellwheels: fleet: %w", err)
+		return nil, err
 	}
 	keys := make([]string, len(cells))
 	for i, c := range cells {
 		keys[i] = c.Key
 	}
 	return keys, nil
+}
+
+// expandSweep converts a scenario's sweep into the fleet engine's axes
+// and expands them into cells. With a non-nil base it also applies every
+// cell's overrides to it, so an unknown field or a mistyped value fails
+// before any run starts.
+func expandSweep(sweep []SweepAxis, base *Config) ([]fleet.Axis, []fleet.Cell, error) {
+	axes := make([]fleet.Axis, len(sweep))
+	for i, a := range sweep {
+		axes[i] = fleet.Axis{Field: a.Field, Values: a.Values}
+	}
+	cells, err := fleet.Expand(axes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cellwheels: fleet: %w", err)
+	}
+	if base != nil {
+		for _, cell := range cells {
+			if _, err := applyFleetOverrides(*base, cell.Overrides); err != nil {
+				return nil, nil, fmt.Errorf("cellwheels: fleet: cell %s: %w", cell.Label(), err)
+			}
+		}
+	}
+	return axes, cells, nil
 }
 
 // applyFleetOverrides returns base with a sweep cell's field overrides

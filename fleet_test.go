@@ -214,6 +214,55 @@ func TestParseFleetScenario(t *testing.T) {
 	}
 }
 
+// TestFleetConfigFingerprint: the fingerprint a fleetsync collector and
+// its workers agree on follows the parsed scenario — not its formatting,
+// key order, or how a host executes it — and moves with anything that
+// changes the run matrix.
+func TestFleetConfigFingerprint(t *testing.T) {
+	const scenario = `{"master_seed":7,"replicates":3,"base":{"limit_km":25,"skip_apps":true},"sweep":[{"field":"disable_edge","values":[false,true]}]}`
+	parse := func(doc string) string {
+		t.Helper()
+		cfg, err := ParseFleetScenario(strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		fp := cfg.Fingerprint()
+		if fp == "" {
+			t.Fatalf("%s: empty fingerprint", doc)
+		}
+		return fp
+	}
+	want := parse(scenario)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(scenario), "", "    "); err != nil {
+		t.Fatal(err)
+	}
+	for name, doc := range map[string]string{
+		"reformatted": indented.String(),
+		"reordered keys": `{"sweep":[{"values":[false, true],"field":"disable_edge"}],
+			"base":{"skip_apps":true,"limit_km":25},"replicates":3,"master_seed":7}`,
+		"workers and archive_dir": strings.Replace(scenario, `"replicates":3,`, `"replicates":3,"workers":4,"archive_dir":"runs",`, 1),
+	} {
+		if got := parse(doc); got != want {
+			t.Errorf("%s: fingerprint %s, want %s", name, got, want)
+		}
+	}
+	noSweep := `{"master_seed":7,"replicates":3,"base":{"limit_km":25}}`
+	if a, b := parse(noSweep), parse(strings.Replace(noSweep, `}}`, `},"sweep":[]}`, 1)); a != b {
+		t.Errorf(`"sweep":[] fingerprints %s, no sweep %s`, b, a)
+	}
+	for name, doc := range map[string]string{
+		"master_seed": strings.Replace(scenario, `"master_seed":7`, `"master_seed":8`, 1),
+		"replicates":  strings.Replace(scenario, `"replicates":3`, `"replicates":4`, 1),
+		"base field":  strings.Replace(scenario, `"limit_km":25`, `"limit_km":26`, 1),
+		"sweep value": strings.Replace(scenario, `[false,true]`, `[true,false]`, 1),
+	} {
+		if parse(doc) == want {
+			t.Errorf("changing %s left the fingerprint unchanged", name)
+		}
+	}
+}
+
 // TestFleetRejectsBadSweep: malformed sweeps fail fast, before any
 // campaign runs.
 func TestFleetRejectsBadSweep(t *testing.T) {

@@ -44,15 +44,9 @@ type JobSpec struct {
 	// (kind "campaign" only).
 	CSV bool `json:"csv,omitempty"`
 	// Scenario is the fleet scenario (kinds "fleet" and "collect"),
-	// with the ParseFleetScenario layout.
+	// with the ParseFleetScenario layout. A collect job's workers push
+	// under the scenario's Fingerprint, as fleetrun -push computes it.
 	Scenario *cellwheels.FleetConfig `json:"scenario,omitempty"`
-	// Fingerprint is the scenario fingerprint a collect job's workers
-	// must present (kind "collect" only). fleetrun -push fingerprints
-	// the scenario file's exact bytes (sha256), so submitters pushing
-	// from the CLI pass that hash here. Empty means the sha256 of the
-	// scenario's canonical parsed form — fine when every pusher is
-	// another wheelsd client, wrong for CLI workers.
-	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
 // ParseJobSpec strictly decodes, validates, and canonicalizes a job
@@ -78,15 +72,15 @@ func ParseJobSpec(r io.Reader) (JobSpec, string, error) {
 	return spec, fmt.Sprintf("%x", sha256.Sum256(canonical)), nil
 }
 
-// validateSpec rejects malformed submissions and fills derivable
-// defaults (a collect job's fingerprint) before the ID is computed.
+// validateSpec rejects malformed submissions and normalizes what has
+// two spellings before the ID is computed.
 func validateSpec(spec *JobSpec) error {
 	switch spec.Kind {
 	case KindCampaign:
 		if spec.Config == nil {
 			return fmt.Errorf("campaign job needs a config")
 		}
-		if spec.Scenario != nil || spec.Fingerprint != "" {
+		if spec.Scenario != nil {
 			return fmt.Errorf("campaign job takes only config and csv")
 		}
 		if err := spec.Config.Validate(); err != nil {
@@ -99,9 +93,6 @@ func validateSpec(spec *JobSpec) error {
 		if spec.Config != nil || spec.CSV {
 			return fmt.Errorf("%s job takes a scenario, not a campaign config", spec.Kind)
 		}
-		if spec.Kind == KindFleet && spec.Fingerprint != "" {
-			return fmt.Errorf("fingerprint only makes sense for collect jobs")
-		}
 		if spec.Scenario.ArchiveDir != "" {
 			return fmt.Errorf("archive_dir is not supported in service jobs; artifacts are served per job")
 		}
@@ -112,13 +103,6 @@ func validateSpec(spec *JobSpec) error {
 		// the parsed spec survives a re-marshal (sweep is omitempty).
 		if len(spec.Scenario.Sweep) == 0 {
 			spec.Scenario.Sweep = nil
-		}
-		if spec.Kind == KindCollect && spec.Fingerprint == "" {
-			canonical, err := json.Marshal(spec.Scenario)
-			if err != nil {
-				return fmt.Errorf("bad scenario: %w", err)
-			}
-			spec.Fingerprint = fmt.Sprintf("%x", sha256.Sum256(canonical))
 		}
 	case "":
 		return fmt.Errorf("job spec needs a kind (campaign, fleet, or collect)")

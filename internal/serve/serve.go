@@ -22,6 +22,9 @@ import (
 // followInterval paces the streaming progress endpoint.
 const followInterval = 500 * time.Millisecond
 
+// timelineCacheEntries bounds the precomputed-timeline cache.
+const timelineCacheEntries = 4
+
 // Config parameterizes a daemon.
 type Config struct {
 	// DataDir is the daemon's state root; each job owns
@@ -31,8 +34,6 @@ type Config struct {
 	// (0 = GOMAXPROCS). Collect jobs run outside this pool — they are
 	// servers, not computations.
 	Workers int
-	// CacheSize bounds the precomputed-timeline cache (0 = 4 entries).
-	CacheSize int
 	// Obs receives daemon-level counters (submissions, dedups, cache
 	// traffic). Per-job metrics go to each job's own recorder. May be
 	// nil.
@@ -86,15 +87,11 @@ func New(cfg Config) (*Server, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cacheSize := cfg.CacheSize
-	if cacheSize <= 0 {
-		cacheSize = 4
-	}
 	s := &Server{
 		cfg:     cfg,
 		jobsDir: jobsDir,
 		rec:     cfg.Obs,
-		cache:   newTimelineCache(cacheSize, cfg.Obs, nil),
+		cache:   newTimelineCache(timelineCacheEntries, cfg.Obs, nil),
 		jobs:    map[string]*Job{},
 		stop:    make(chan struct{}),
 	}
@@ -412,7 +409,7 @@ func (s *Server) startCollectLocked(j *Job) (int, error) {
 	if err != nil {
 		return http.StatusInternalServerError, err
 	}
-	col, err := fleetsync.NewCollector(j.Spec.Fingerprint, red, store, j.rec)
+	col, err := fleetsync.NewCollector(j.Spec.Scenario.Fingerprint(), red, store, j.rec)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
@@ -429,7 +426,7 @@ func (s *Server) startCollectLocked(j *Job) (int, error) {
 // then unmounts it and finalizes the job with the reduction as it
 // stands. An interrupted collection still writes its partial fold (the
 // report over received runs plus the manifest) and fails the job with
-// the receive count, mirroring fleetrun -serve killed mid-fleet.
+// the receive count, so what arrived before the signal is never lost.
 func (s *Server) collectLoop(j *Job, col *fleetsync.Collector) {
 	defer s.collectWG.Done()
 	select {

@@ -312,8 +312,7 @@ func TestCollectJob(t *testing.T) {
 	wantReport := res.Report()
 
 	_, ts := startServer(t, Config{Workers: 1})
-	const fp = "test-scenario-fingerprint"
-	st, code := submit(t, ts, `{"kind":"collect","fingerprint":"`+fp+`","scenario":`+fleetScenarioJSON+`}`)
+	st, code := submit(t, ts, `{"kind":"collect","scenario":`+fleetScenarioJSON+`}`)
 	if code != http.StatusCreated {
 		t.Fatalf("submit collect: status %d (%s)", code, st.Error)
 	}
@@ -322,11 +321,12 @@ func TestCollectJob(t *testing.T) {
 	}
 
 	// A second collect while one is mounted is a conflict.
-	if _, code := submit(t, ts, `{"kind":"collect","fingerprint":"other","scenario":`+fleetScenarioJSON+`}`); code != http.StatusConflict {
+	other := strings.Replace(fleetScenarioJSON, `"master_seed":9`, `"master_seed":10`, 1)
+	if _, code := submit(t, ts, `{"kind":"collect","scenario":`+other+`}`); code != http.StatusConflict {
 		t.Fatalf("second collect: want 409, got %d", code)
 	}
 
-	p, err := fleetsync.NewPusher(fleetsync.PusherConfig{BaseURL: ts.URL, Scenario: fp, Obs: obs.New()})
+	p, err := fleetsync.NewPusher(fleetsync.PusherConfig{BaseURL: ts.URL, Scenario: fleetScenario().Fingerprint(), Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,14 +367,13 @@ func TestCollectInterrupted(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	const fp = "interrupt-fingerprint"
-	st, code := submit(t, ts, `{"kind":"collect","fingerprint":"`+fp+`","scenario":`+fleetScenarioJSON+`}`)
+	st, code := submit(t, ts, `{"kind":"collect","scenario":`+fleetScenarioJSON+`}`)
 	if code != http.StatusCreated {
 		t.Fatalf("submit: status %d", code)
 	}
 
 	// Push only cell 0 of 2, then shut down.
-	p, err := fleetsync.NewPusher(fleetsync.PusherConfig{BaseURL: ts.URL, Scenario: fp, Obs: obs.New()})
+	p, err := fleetsync.NewPusher(fleetsync.PusherConfig{BaseURL: ts.URL, Scenario: fleetScenario().Fingerprint(), Obs: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,6 +572,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad load model", `{"kind":"campaign","config":{"seed":1,"load_model":"psychic"}}`},
 		{"bad sweep field", `{"kind":"fleet","scenario":{"master_seed":1,"base":{"seed":0},"sweep":[{"field":"nope","values":[1]}]}}`,},
 		{"archive_dir rejected", `{"kind":"fleet","scenario":{"master_seed":1,"archive_dir":"/tmp/x","base":{"seed":0}}}`},
+		{"collect with fingerprint", `{"kind":"collect","fingerprint":"abc","scenario":` + fleetScenarioJSON + `}`},
 	} {
 		if _, code := submit(t, ts, tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s: want 400, got %d", tc.name, code)

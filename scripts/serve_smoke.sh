@@ -2,11 +2,11 @@
 # serve-smoke: the wheelsd daemon end to end over loopback through real
 # processes — submit a campaign job via curl, poll it, download its
 # artifacts, and byte-diff them against a direct drivetest run; then a
-# fleet job and a collect job (fed by real fleetrun -push workers
-# through the daemon's /fleetsync/v1 mount) diffed against a
-# single-process fleetrun; and finally a SIGTERM mid-job, pinning the
-# graceful-drain contract: the daemon exits 0 and the in-flight job's
-# artifacts are complete and byte-identical on disk.
+# fleet job and a collect job (fed by two real fleetrun -push workers,
+# one sweep cell each, through the daemon's /fleetsync/v1 mount) diffed
+# against a single-process fleetrun; and finally a SIGTERM mid-job,
+# pinning the graceful-drain contract: the daemon exits 0 and the
+# in-flight job's artifacts are complete and byte-identical on disk.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,10 +96,7 @@ cmp "$out/cli-fleet/fleet-manifest.json" "$out/daemon-fleet-manifest.json"
 echo "serve-smoke: fleet artifacts are byte-identical to fleetrun" >&2
 
 echo "serve-smoke: collect job + fleetrun -push workers" >&2
-# CLI workers fingerprint the scenario file's exact bytes, so the
-# submission pins the same hash for the daemon's collector.
-fp=$(sha256sum "$scenario" | cut -d' ' -f1)
-collect_spec='{"kind":"collect","fingerprint":"'"$fp"'","scenario":'$(cat "$scenario")'}'
+collect_spec='{"kind":"collect","scenario":'$(cat "$scenario")'}'
 collect_id=$(json_field id "$(curl -sS -X POST "$url/v1/jobs" -d "$collect_spec")")
 "$out/fleetrun" -scenario "$scenario" -push "$url" -cells 0
 "$out/fleetrun" -scenario "$scenario" -push "$url" -cells 1
